@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled condition-check kernels against the pure-Python
-fallback on representative workloads.
+"""Benchmark the pure-Python condition-check kernels against the compiled
+twin on representative workloads.
+
+The partition rows compare the pruned depth-first search (pure, the one the
+library runs on every backend) with the compiled exhaustive enumeration;
+the reduced-graph rows compare the two implementations of one enumeration.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -32,16 +36,25 @@ def complete_masks(n: int) -> tuple[int, ...]:
     return tuple(full ^ (1 << v) for v in range(n))
 
 
+def partition(impl, n: int, in_masks: tuple[int, ...], f: int, r: int):
+    if impl is pure:
+        return impl.violating_partition(n, in_masks, f, r, 10**9)
+    return impl.violating_partition(n, in_masks, f, r)
+
+
 def workloads():
     rng = random.Random(2024)
     sweep = [random_masks(rng, 5, p) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(50)]
+    n9 = generate_graph("random-uniform", {"n": 9, "p": 0.9}, seed=5).in_masks()
 
     def partition_pass_k6(impl):
-        impl.violating_partition(6, complete_masks(6), 1, 3)
+        partition(impl, 6, complete_masks(6), 1, 3)
 
     def partition_pass_n9(impl):
-        g = generate_graph("random-uniform", {"n": 9, "p": 0.9}, seed=5)
-        impl.violating_partition(9, g.in_masks(), 1, 3)
+        partition(impl, 9, n9, 1, 3)
+
+    def partition_pass_k12(impl):
+        partition(impl, 12, complete_masks(12), 2, 5)
 
     def reduction_k6(impl):
         impl.failing_reduction(6, complete_masks(6), 1, 1, 10**9)
@@ -49,11 +62,12 @@ def workloads():
     def reduction_sweep_n5(impl):
         for masks in sweep:
             impl.failing_reduction(5, masks, 1, 1, 10**9)
-            impl.violating_partition(5, masks, 1, 2)
+            partition(impl, 5, masks, 1, 2)
 
     return [
         ("partition check, K6 async f=1 (pass)", partition_pass_k6),
         ("partition check, n=9 p=0.9 f=1", partition_pass_n9),
+        ("partition check, K12 async f=2 (pass)", partition_pass_k12),
         ("reduced-graph check, K6 f=1 (pass)", reduction_k6),
         ("200-graph n=5 sweep (both checks)", reduction_sweep_n5),
     ]

@@ -1,7 +1,10 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
 Set BYZTRIM_PURE=1 to force the pure-Python kernels (used by the benchmark
-and to exercise the fallback in tests).
+and to exercise the fallback in tests).  The partition search runs the
+pruned pure-Python search on every backend: it carries the visit budget,
+and it overtakes the compiled exhaustive enumeration from about n = 13.
+Only the reduced-graph search uses the extension.
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ BACKEND: str = _impl.BACKEND
 _NATIVE_MAX_N = 62
 
 
-def violating_partition(n, in_masks, f, r):
-    if _impl is not pure and n > _NATIVE_MAX_N:
-        return pure.violating_partition(n, in_masks, f, r)
-    return _impl.violating_partition(n, in_masks, f, r)
+violating_partition = pure.violating_partition
 
 
 def failing_reduction(n, in_masks, f, min_source_size, budget):

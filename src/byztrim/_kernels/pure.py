@@ -1,16 +1,19 @@
 """Pure-Python condition-check kernels.
 
-These are the hot inner loops of the robustness checks: exhaustive
-partition enumeration and reduced-graph enumeration over bitmask graphs.
-byztrim._kernels.native is the compiled twin; both must produce identical
-results (same verdicts, same first witnesses, same examined counts).
+These are the hot inner loops of the robustness checks over bitmask
+graphs: the pruned depth-first partition search and the reduced-graph
+enumeration.  byztrim._kernels.native is the compiled twin of the
+reduced-graph enumeration (same verdicts, witnesses and examined counts).
+Its exhaustive partition enumeration is no longer called by the library;
+tests keep it as a comparison for the search's verdicts and witnesses.
 
-Graphs are passed as per-node in-neighbour bitmasks.  Enumeration orders
-are part of the contract:
+Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
+part of the contract:
 
 * fault sets F by increasing size, then lexicographic on the sorted tuple;
-* L/C/R assignments as base-3 counters over the surviving nodes in node
-  order (most significant digit = smallest node id; digit 0=L, 1=C, 2=R);
+* L/C/R assignments in the order of base-3 counters over the surviving
+  nodes in node order (most significant digit = smallest node id; digit
+  0=L, 1=C, 2=R), so the first violating partition is the canonical one;
 * per-node in-edge removals in lexicographic combination order, with the
   last surviving node varying fastest.
 """
@@ -39,35 +42,73 @@ def _fault_masks(n: int, f: int) -> list[int]:
 
 
 def violating_partition(
-    n: int, in_masks: tuple[int, ...], f: int, r: int
-) -> tuple[int, int, int, int] | None:
+    n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
+) -> tuple[int, int, tuple[int, int, int, int] | None]:
     """First partition (F, L, C, R) with |F| <= f, L and R non-empty, where
     no node of L has >= r in-neighbours in C|R and no node of R has >= r
-    in-neighbours in L|C.  Returns bitmasks, or None if the condition holds.
+    in-neighbours in L|C.
+
+    Depth-first search: per fault set, the surviving nodes are placed in id
+    order, each trying L, C, then R, so complete assignments are reached in
+    the canonical base-3 order.  A placement is cut as soon as a placed L
+    node has r placed in-neighbours in C|R, or a placed R node has r placed
+    in-neighbours in L|C: counts only grow as nodes are placed, so no
+    violating partition lies below.  An R placement while L is still empty
+    is cut too: the L/R mirror of any partition below it violates equally
+    and comes first in canonical order.  Neither cut can skip the first
+    violating partition.
+
+    Every placement tried is one examined search node; expanding a node
+    tries all its placements at once.  Returns (status, examined, witness)
+    with witness = (F, L, C, R) bitmasks on FAIL.  Once examined would
+    exceed budget the search stops with BUDGET_EXCEEDED, reporting
+    examined == budget + 1.
     """
+    out_masks = [0] * n
+    for v in range(n):
+        for u in _bits(in_masks[v]):
+            out_masks[u] |= 1 << v
+
+    def reached(nodes: int, within: int) -> bool:
+        # Does some node of `nodes` have >= r in-neighbours in `within`?
+        while nodes:
+            low = nodes & -nodes
+            if (in_masks[low.bit_length() - 1] & within).bit_count() >= r:
+                return True
+            nodes ^= low
+        return False
+
+    examined = 0
     for f_mask in _fault_masks(n, f):
         rest = [v for v in range(n) if not (f_mask >> v) & 1]
-        if len(rest) < 2:
+        last = len(rest)
+        if last < 2:
             continue
-        for digits in itertools.product((0, 1, 2), repeat=len(rest)):
-            l_mask = c_mask = r_mask = 0
-            for v, d in zip(rest, digits):
-                if d == 0:
-                    l_mask |= 1 << v
-                elif d == 1:
-                    c_mask |= 1 << v
-                else:
-                    r_mask |= 1 << v
-            if not l_mask or not r_mask:
+        # Entries (next index, L, C, R); children are pushed R, C, L so that
+        # L is expanded first.  After placing v only v itself and the placed
+        # L/R nodes it feeds can newly reach r.
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            i, lm, cm, rm = stack.pop()
+            if i == last:
+                if lm and rm:
+                    return (FAIL, examined, (f_mask, lm, cm, rm))
                 continue
-            cr = c_mask | r_mask
-            if any((in_masks[v] & cr).bit_count() >= r for v in _bits(l_mask)):
-                continue
-            lc = l_mask | c_mask
-            if any((in_masks[v] & lc).bit_count() >= r for v in _bits(r_mask)):
-                continue
-            return (f_mask, l_mask, c_mask, r_mask)
-    return None
+            v = rest[i]
+            bit = 1 << v
+            ins = in_masks[v]
+            outs = out_masks[v]
+            i += 1
+            examined += 3 if lm else 2
+            if examined > budget:
+                return (BUDGET_EXCEEDED, budget + 1, None)
+            if lm and (ins & (lm | cm)).bit_count() < r and not reached(outs & lm, cm | rm | bit):
+                stack.append((i, lm, cm, rm | bit))
+            if not reached(outs & lm, cm | rm | bit) and not reached(outs & rm, lm | cm | bit):
+                stack.append((i, lm, cm | bit, rm))
+            if (ins & (cm | rm)).bit_count() < r and not reached(outs & rm, lm | cm | bit):
+                stack.append((i, lm | bit, cm, rm))
+    return (PASS, examined, None)
 
 
 def _bits(mask: int):

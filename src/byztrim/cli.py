@@ -42,6 +42,10 @@ def _metrics_path(out: str) -> str:
     return out + ".metrics.csv"
 
 
+def _budget_message(report) -> str:
+    return f"error: {report.check} search budget exceeded ({report.budget} search nodes); no verdict"
+
+
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     if args.oracle == "reduced-graph":
@@ -160,13 +164,15 @@ def _cmd_run(args) -> int:
 def _cmd_attack(args) -> int:
     g = _load_graph(args.graph)
     report = check_partition_condition(g, args.f, ASYNC)
+    if report.verdict == "budget-exceeded":
+        print(_budget_message(report), file=sys.stderr)
+        return 2
     if report.passed:
         print(
             "error: graph satisfies the asynchronous condition; no violating partition exists",
             file=sys.stderr,
         )
         return 1
-    assert report.witness is not None
     config = simnet.build_attack_config(
         g, args.f, report.witness, args.m, args.M, max_rounds=args.rounds
     )
@@ -188,6 +194,9 @@ def _cmd_attack(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     precheck = check_partition_condition(g, args.f, ASYNC)
+    if precheck.verdict == "budget-exceeded":
+        print(_budget_message(precheck), file=sys.stderr)
+        return 2
     if not precheck.passed:
         print(
             "error: graph fails the asynchronous condition; the contraction bound does not apply",

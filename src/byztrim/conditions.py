@@ -10,8 +10,15 @@ against f Byzantine nodes, in two equivalent forms:
   deleting a candidate fault set and up to f further in-edges per node must
   keep exactly one source component.
 
-Verdicts come with machine-checkable witnesses.  The exhaustive searches
-are exponential and intended for small instances (n of at most ~12).
+Verdicts come with machine-checkable witnesses.  Both searches are
+exponential in the worst case and bounded by a budget; past it the verdict
+is "budget-exceeded".  The partition search is a depth-first search that
+cuts a branch as soon as a placed L or R node is reached at the threshold
+(dense graphs with n = 14 and f = 2 take about half a second); its report's
+`examined` counts the search nodes it visited.  The reduced-graph search enumerates
+every minimal reduction and is meant for small instances (K8 with f = 1
+already exceeds its default budget); its `examined` counts the reductions
+it inspected.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ SYNC = "sync"
 ASYNC = "async"
 
 DEFAULT_REDUCTION_BUDGET = 5_000_000
+# Search nodes visited by the partition search: a few seconds at the
+# 1-2 M nodes/s of the pure-Python search.
+DEFAULT_PARTITION_BUDGET = 5_000_000
 
 
 def threshold(f: int, mode: str) -> int:
@@ -257,27 +267,35 @@ def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
     return out
 
 
-def check_partition_condition(g: Digraph, f: int, mode: str) -> ConditionReport:
-    """Exhaustively test every partition (F, L, C, R) with |F| <= f and L, R
-    non-empty; fail (with the first violating partition in canonical order)
-    if some partition starves both L and R at the mode's threshold.
+def check_partition_condition(
+    g: Digraph, f: int, mode: str, budget: int = DEFAULT_PARTITION_BUDGET
+) -> ConditionReport:
+    """Test every partition (F, L, C, R) with |F| <= f and L, R non-empty;
+    fail (with the first violating partition in canonical order) if some
+    partition starves both L and R at the mode's threshold.
+
+    The search skips only branches that cannot hold a violating partition,
+    so verdict and witness are those of the full enumeration.  `examined`
+    is the number of search nodes visited; once it exceeds `budget` the
+    verdict is "budget-exceeded" with examined == budget + 1.
     """
     if f < 0:
         raise ValueError("f must be >= 0")
     r = threshold(f, mode)
     violations: tuple[DegreeViolation, ...] = ()
     if mode == ASYNC:
-        # Cheap filter first; the enumeration below remains the source of
-        # truth and supplies the witness.
+        # Cheap filter first; the search below remains the source of truth
+        # and supplies the witness.
         violations = tuple(quick_degree_checks(g, f))
-    hit = _kernels.violating_partition(g.n, g.in_masks(), f, r)
-    if hit is None:
-        return ConditionReport("pass", "partition", mode, r, f, degree_violations=violations)
+    status, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
+    common = dict(degree_violations=violations, examined=examined, budget=budget)
+    if status == _kernels.PASS:
+        return ConditionReport("pass", "partition", mode, r, f, **common)
+    if status == _kernels.BUDGET_EXCEEDED:
+        return ConditionReport("budget-exceeded", "partition", mode, r, f, **common)
     f_mask, l_mask, c_mask, r_mask = hit
     witness = Partition(_unmask(f_mask), _unmask(l_mask), _unmask(c_mask), _unmask(r_mask))
-    return ConditionReport(
-        "fail", "partition", mode, r, f, witness=witness, degree_violations=violations
-    )
+    return ConditionReport("fail", "partition", mode, r, f, witness=witness, **common)
 
 
 def _reduction_report(

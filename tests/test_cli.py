@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from byztrim import cli
 from byztrim.cli import main
+from byztrim.conditions import check_partition_condition
 from byztrim.digraph import parse_graph
 
 
@@ -20,6 +23,13 @@ def k6_file(tmp_path):
     path = tmp_path / "k6.json"
     assert main(["gen", "--kind", "complete", "--n", "6", "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture
+def tiny_budget(monkeypatch):
+    monkeypatch.setattr(
+        cli, "check_partition_condition", functools.partial(check_partition_condition, budget=3)
+    )
 
 
 class TestGen:
@@ -69,6 +79,13 @@ class TestCheck:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["source_size"]["verdict"] == "pass"
+
+    def test_budget_exceeded(self, k6_file, capsys, tiny_budget):
+        rc = main(["check", str(k6_file), "--f", "1", "--mode", "async"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert out["verdict"] == "budget-exceeded"
+        assert (out["examined"], out["budget"]) == (4, 3)
 
     def test_malformed_graph(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -134,6 +151,11 @@ class TestRunVerify:
         assert rc == 2
         assert "does not apply" in capsys.readouterr().err
 
+    def test_verify_budget_exceeded(self, tmp_path, k6_file, capsys, tiny_budget):
+        rc = main(["verify", str(tmp_path / "t.csv"), "--graph", str(k6_file), "--f", "1"])
+        assert rc == 2
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestAttack:
     def test_k5_attack_blocks_convergence(self, tmp_path, k5_file, capsys):
@@ -159,3 +181,10 @@ class TestAttack:
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert summary["final_spread"] == 8.0
+
+    def test_budget_exceeded(self, tmp_path, k5_file, capsys, tiny_budget):
+        out = tmp_path / "atk.csv"
+        rc = main(["attack", str(k5_file), "--f", "1", "--rounds", "10", "--out", str(out)])
+        assert rc == 2
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not out.exists()

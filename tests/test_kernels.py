@@ -5,16 +5,14 @@ import random
 import subprocess
 import sys
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from byztrim import _kernels
 from byztrim._kernels import pure
+from byztrim.conditions import check_partition_condition, threshold
+from byztrim.digraph import Digraph
 from conftest import random_digraph
 from oracles import naive_violating_partition
-
-native = pytest.importorskip(
-    "byztrim._kernels.native", reason="compiled kernel not built"
-)
 
 
 def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
@@ -25,9 +23,6 @@ def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
 
 
 class TestBackendSelection:
-    def test_default_prefers_native(self):
-        assert _kernels.BACKEND == "native"
-
     def test_env_forces_pure(self):
         code = (
             "import os; os.environ['BYZTRIM_PURE']='1'; "
@@ -38,30 +33,8 @@ class TestBackendSelection:
         )
         assert out.stdout.strip() == "pure"
 
-
-class TestTwinsAgree:
-    def test_violating_partition_identical(self):
-        rng = random.Random(100)
-        for _ in range(300):
-            n = rng.randrange(1, 8)
-            masks = random_masks(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            f = rng.randrange(0, 3)
-            r = rng.choice([f + 1, 2 * f + 1])
-            assert pure.violating_partition(n, masks, f, r) == native.violating_partition(
-                n, masks, f, r
-            )
-
-    def test_failing_reduction_identical(self):
-        rng = random.Random(200)
-        for _ in range(300):
-            n = rng.randrange(1, 7)
-            masks = random_masks(rng, n, rng.choice([0.3, 0.6, 0.9]))
-            f = rng.randrange(0, 3)
-            mss = rng.choice([1, f + 1])
-            budget = rng.choice([5, 100, 10**9])
-            assert pure.failing_reduction(
-                n, masks, f, mss, budget
-            ) == native.failing_reduction(n, masks, f, mss, budget)
+    def test_partition_search_is_pure_on_every_backend(self):
+        assert _kernels.violating_partition is pure.violating_partition
 
 
 class TestAgainstNaiveOracle:
@@ -71,8 +44,9 @@ class TestAgainstNaiveOracle:
             g = random_digraph(rng.randrange(2, 6), rng.choice([0.3, 0.6]), rng)
             f = rng.randrange(0, 2)
             r = rng.choice([f + 1, 2 * f + 1])
-            got = _kernels.violating_partition(g.n, g.in_masks(), f, r)
+            status, _, got = _kernels.violating_partition(g.n, g.in_masks(), f, r, 10**9)
             expect = naive_violating_partition(g, f, r)
+            assert status == (_kernels.PASS if expect is None else _kernels.FAIL)
             if expect is None:
                 assert got is None
             else:
@@ -93,6 +67,48 @@ class TestAgainstNaiveOracle:
             mss = rng.choice([1, f + 1])
             status, _, _ = pure.failing_reduction(n, masks, f, mss, 10**9)
             assert (status == pure.PASS) == _full_family_ok(n, masks, f, mss)
+
+
+class TestPartitionSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1)) - 1))
+        ),
+        st.integers(0, 2),
+        st.sampled_from(["sync", "async"]),
+    )
+    def test_verdict_and_witness_match_oracle(self, graph, f, mode):
+        n, bits = graph
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        g = Digraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+        report = check_partition_condition(g, f, mode)
+        expect = naive_violating_partition(g, f, threshold(f, mode))
+        assert report.verdict == ("pass" if expect is None else "fail")
+        assert report.witness == expect
+        assert report.examined <= report.budget
+
+    def test_tiny_budget_is_exceeded_deterministically(self):
+        masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6
+        status, examined, _ = pure.violating_partition(6, masks, 1, 3, 10**9)
+        assert status == pure.PASS
+        for budget in (0, 1, 7, examined - 1):
+            for _ in range(2):
+                assert pure.violating_partition(6, masks, 1, 3, budget) == (
+                    pure.BUDGET_EXCEEDED,
+                    budget + 1,
+                    None,
+                )
+        assert pure.violating_partition(6, masks, 1, 3, examined) == (pure.PASS, examined, None)
+
+    def test_search_is_pruned(self):
+        # K12 with f=2 passes async; the full enumeration assigns
+        # sum_{k<=2} C(12,k) 3^(12-k) = 6,554,439 leaves.
+        n = 12
+        masks = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
+        status, examined, _ = pure.violating_partition(n, masks, 2, 5, 10**9)
+        assert status == pure.PASS
+        assert examined < 10**6
 
 
 def _full_family_ok(n: int, in_masks: tuple[int, ...], f: int, min_size: int) -> bool:
