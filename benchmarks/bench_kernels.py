@@ -3,8 +3,10 @@
 twin on representative workloads.
 
 The partition rows compare the pruned depth-first search (pure, the one the
-library runs on every backend) with the compiled exhaustive enumeration;
-the reduced-graph rows compare the two implementations of one enumeration.
+library runs on every backend) with the compiled exhaustive enumeration.
+The reduced-graph rows compare the pure incremental sweep with the compiled
+twin, which runs a search from every survivor for each reduction; both
+inspect the same reductions in the same order.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -59,6 +61,9 @@ def workloads():
     def reduction_k6(impl):
         impl.failing_reduction(6, complete_masks(6), 1, 1, 10**9)
 
+    def source_size_k7(impl):
+        impl.failing_reduction(7, complete_masks(7), 1, 2, 10**9)
+
     def reduction_sweep_n5(impl):
         for masks in sweep:
             impl.failing_reduction(5, masks, 1, 1, 10**9)
@@ -69,6 +74,7 @@ def workloads():
         ("partition check, n=9 p=0.9 f=1", partition_pass_n9),
         ("partition check, K12 async f=2 (pass)", partition_pass_k12),
         ("reduced-graph check, K6 f=1 (pass)", reduction_k6),
+        ("source-size check, K7 f=1 (pass)", source_size_k7),
         ("200-graph n=5 sweep (both checks)", reduction_sweep_n5),
     ]
 

@@ -7,9 +7,7 @@ from byztrim.digraph import (
     GraphError,
     ReducedGraph,
     condensation,
-    count_reduced_graphs,
     parse_graph,
-    reduced_graphs,
     source_components,
 )
 from byztrim.conditions import (
@@ -73,7 +71,6 @@ __all__ = [
     "check_source_component_size",
     "compute_alpha",
     "condensation",
-    "count_reduced_graphs",
     "generate_graph",
     "in_set",
     "init_node",
@@ -81,7 +78,6 @@ __all__ = [
     "propagates",
     "quick_degree_checks",
     "reaches",
-    "reduced_graphs",
     "run_experiment",
     "run_simulation",
     "source_components",

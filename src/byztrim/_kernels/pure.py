@@ -1,11 +1,13 @@
 """Pure-Python condition-check kernels.
 
 These are the hot inner loops of the robustness checks over bitmask
-graphs: the pruned depth-first partition search and the reduced-graph
-enumeration.  byztrim._kernels.native is the compiled twin of the
-reduced-graph enumeration (same verdicts, witnesses and examined counts).
-Its exhaustive partition enumeration is no longer called by the library;
-tests keep it as a comparison for the search's verdicts and witnesses.
+graphs: the pruned depth-first partition search and the incremental
+reduced-graph sweep.  byztrim._kernels.native is the compiled twin of the
+reduced-graph sweep: it inspects the same reductions in the same order, but
+searches each reduction's graph from every survivor, and returns the same
+verdicts, witnesses and examined counts.  Its exhaustive partition
+enumeration is no longer called by the library; tests keep it as a
+comparison for the search's verdicts and witnesses.
 
 Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
 part of the contract:
@@ -118,36 +120,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _root_count(survivors: list[int], kept_in: dict[int, int], at_least: int) -> int:
-    """Count nodes whose reachable set covers all survivors, stopping once
-    `at_least` roots are found."""
-    out_masks = {v: 0 for v in survivors}
-    for v in survivors:
-        m = kept_in[v]
-        while m:
-            low = m & -m
-            out_masks[low.bit_length() - 1] |= 1 << v
-            m ^= low
-    full = 0
-    for v in survivors:
-        full |= 1 << v
-    count = 0
-    for v in survivors:
-        seen = 1 << v
-        frontier = out_masks[v] & ~seen
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= out_masks[u]
-            frontier = nxt & ~seen
-        if seen == full:
-            count += 1
-            if count >= at_least:
-                return count
-    return count
-
-
 def failing_reduction(
     n: int,
     in_masks: tuple[int, ...],
@@ -164,8 +136,20 @@ def failing_reduction(
 
     Requirement: the reduction has a unique source component of size
     >= min_source_size (min_source_size=1 is the exactly-one-source check).
-    Returns (status, examined, witness) where witness is
-    (fault_mask, {node: kept in-mask}) for a failing reduction.
+    That holds iff at least min_source_size nodes reach every survivor.
+
+    Per fault set, the kept in-sets are chosen node by node in
+    itertools.product order (last survivor fastest) as a depth-first
+    search that carries desc[x], the bitmask of nodes x reaches so far.
+    Giving node v the kept in-set K adds the edges K -> v, so exactly the
+    nodes that reach K gain desc[v]; desc[v] itself cannot change.  Above
+    the last survivor z, the nodes that can become roots are fixed, so the
+    leaves (one per kept in-set of z) are scored without walking the graph.
+
+    Every leaf is one examined reduction.  Returns (status, examined,
+    witness) where witness is (fault_mask, {node: kept in-mask}) for the
+    first failing reduction.  Once examined would exceed budget the search
+    stops with BUDGET_EXCEEDED, reporting examined == budget + 1.
     """
     examined = 0
     for f_mask in _fault_masks(n, min(f, n - 1)):
@@ -182,11 +166,50 @@ def failing_reduction(
                     drop |= 1 << u
                 kept_options.append(base & ~drop)
             options.append(kept_options)
-        for combo in itertools.product(*options):
-            examined += 1
-            if examined > budget:
-                return (BUDGET_EXCEEDED, examined, None)
-            kept_in = dict(zip(survivors, combo))
-            if _root_count(survivors, kept_in, min_source_size) < min_source_size:
-                return (FAIL, examined, (f_mask, kept_in))
+        full = ((1 << n) - 1) & ~f_mask
+        last = len(survivors) - 1
+        last_options = options[last]
+        # Entries (index of the next survivor, desc by survivor index, kept
+        # in-sets chosen so far as a linked list (kept, parent) in reverse).
+        stack = [(0, [1 << v for v in survivors], None)]
+        while stack:
+            i, desc, chosen = stack.pop()
+            if i < last:
+                dv = desc[i]
+                for kept in reversed(options[i]):
+                    stack.append(
+                        (i + 1, [d | dv if d & kept else d for d in desc], (kept, chosen))
+                    )
+                continue
+            # Leaves: x != z becomes a root iff it reaches every survivor
+            # outside desc[z] and reaches z's kept in-set.
+            dz = desc[last]
+            need = min_source_size - (dz == full)
+            hit = None
+            if need > 0:
+                cand = [d for d in desc[:last] if d | dz == full]
+                if need == 1:
+                    reach = 0
+                    for d in cand:
+                        reach |= d
+                    for j, kept in enumerate(last_options):
+                        if not kept & reach:
+                            hit = j
+                            break
+                else:
+                    for j, kept in enumerate(last_options):
+                        if sum(1 for d in cand if d & kept) < need:
+                            hit = j
+                            break
+            leaves = len(last_options) if hit is None else hit + 1
+            if examined + leaves > budget:
+                return (BUDGET_EXCEEDED, budget + 1, None)
+            examined += leaves
+            if hit is not None:
+                combo = [last_options[hit]]
+                while chosen is not None:
+                    kept, chosen = chosen
+                    combo.append(kept)
+                combo.reverse()
+                return (FAIL, examined, (f_mask, dict(zip(survivors, combo))))
     return (PASS, examined, None)

@@ -92,12 +92,16 @@ def _cmd_equiv(args) -> int:
         total = args.samples
     disagreements = []
     passes = 0
+    budget_exceeded = 0
     for g in graphs:
         partition_verdict = check_partition_condition(g, args.f, SYNC).verdict
         reduced_verdict = check_reduced_graph_condition(g, args.f).verdict
         if partition_verdict == "pass":
             passes += 1
-        if partition_verdict != reduced_verdict:
+        if "budget-exceeded" in (partition_verdict, reduced_verdict):
+            # One side has no verdict, so the pair can neither agree nor disagree.
+            budget_exceeded += 1
+        elif partition_verdict != reduced_verdict:
             disagreements.append(
                 {
                     "graph": g.to_dict(),
@@ -113,10 +117,13 @@ def _cmd_equiv(args) -> int:
             "total": total,
             "passing": passes,
             "disagreements": disagreements[:10],
+            "budget_exceeded": budget_exceeded,
             "agreement": not disagreements,
         }
     )
-    return 0 if not disagreements else 1
+    if disagreements:
+        return 1
+    return 2 if budget_exceeded else 0
 
 
 def _cmd_gen(args) -> int:

@@ -15,10 +15,12 @@ exponential in the worst case and bounded by a budget; past it the verdict
 is "budget-exceeded".  The partition search is a depth-first search that
 cuts a branch as soon as a placed L or R node is reached at the threshold
 (dense graphs with n = 14 and f = 2 take about half a second); its report's
-`examined` counts the search nodes it visited.  The reduced-graph search enumerates
-every minimal reduction and is meant for small instances (K8 with f = 1
-already exceeds its default budget); its `examined` counts the reductions
-it inspected.
+`examined` counts the search nodes it visited.  The reduced-graph search
+inspects every minimal reduction and is meant for small instances (K8 with
+f = 1 already exceeds its default budget); its `examined` counts the
+reductions it inspected.  It chooses the kept in-edges node by node and
+keeps each node's reachable set up to date with one bitmask pass per
+choice, so a reduction costs no graph search of its own.
 """
 
 from __future__ import annotations

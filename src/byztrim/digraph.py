@@ -1,5 +1,5 @@
 """Directed-graph data model: validation, strongly-connected-component
-condensation, source-component detection and reduced-graph enumeration.
+condensation, source-component detection and reduced graphs.
 
 Graphs are simple (no self-loops, no duplicate edges) with nodes labelled
 0..n-1.  All operations are pure functions of immutable inputs.
@@ -7,9 +7,7 @@ Graphs are simple (no self-loops, no duplicate edges) with nodes labelled
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -244,46 +242,3 @@ class ReducedGraph:
                 raise GraphError(f"node {v} keeps an edge absent from the base graph")
             if len(base_in) - len(kept_in) > f:
                 raise GraphError(f"node {v} lost more than f={f} in-edges")
-
-
-def reduced_graphs(g: Digraph, fault_set: Iterable[int], f: int) -> Iterator[ReducedGraph]:
-    """Lazily enumerate every reduced graph for the given fault set.
-
-    Per surviving node, every subset of at most f of its remaining in-edges
-    is removed; all combinations are yielded in deterministic order (per-node
-    removal subsets by size then lexicographic, last node varying fastest).
-    The first item is always the graph with nothing extra removed.
-    """
-    fs = frozenset(fault_set)
-    if len(fs) > f:
-        raise GraphError(f"|F|={len(fs)} exceeds f={f}")
-    if not fs <= set(g.nodes):
-        raise GraphError("fault set contains unknown nodes")
-    if len(fs) >= g.n:
-        raise GraphError("fault set must leave at least one node")
-    survivors = [v for v in g.nodes if v not in fs]
-    per_node_choices: list[list[tuple[int, ...]]] = []
-    for v in survivors:
-        remaining = sorted(u for u in g.in_nbrs[v] if u not in fs)
-        choices = []
-        for k in range(min(f, len(remaining)) + 1):
-            choices.extend(itertools.combinations(remaining, k))
-        per_node_choices.append(choices)
-    base_edges = {
-        (u, w) for (u, w) in g.edges if u not in fs and w not in fs
-    }
-    for combo in itertools.product(*per_node_choices):
-        dropped = {(u, v) for v, removal in zip(survivors, combo) for u in removal}
-        yield ReducedGraph(g, fs, frozenset(base_edges - dropped))
-
-
-def count_reduced_graphs(g: Digraph, fault_set: Iterable[int], f: int) -> int:
-    """Number of distinct reduced graphs for (g, F, f) without enumerating."""
-    fs = frozenset(fault_set)
-    total = 1
-    for v in g.nodes:
-        if v in fs:
-            continue
-        d = len([u for u in g.in_nbrs[v] if u not in fs])
-        total *= sum(math.comb(d, k) for k in range(min(f, d) + 1))
-    return total

@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -151,6 +150,10 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Tra
     worker pool's completion order."""
     spec.validate()
     if workers and workers > 1:
+        # Imported here: concurrent.futures pulls in multiprocessing, which
+        # costs every `import byztrim` about 2.5 MB and most runs never use it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_seed, itertools.repeat(spec.config), spec.seeds))
     return [_run_seed(spec.config, s) for s in spec.seeds]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -95,22 +96,37 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
+        """Build a config from its JSON form.  Integer fields must be JSON
+        integers (not booleans or floats) and real fields finite numbers;
+        anything else raises ValueError."""
         byz = d.get("byzantine")
         return cls(
             graph=parse_graph(d["graph"]),
-            f=d["f"],
-            fault_set=frozenset(d.get("fault_set", ())),
-            inputs=tuple(float(x) for x in d["inputs"]),
+            f=_json_int(d["f"], "f"),
+            fault_set=frozenset(_json_int(v, "fault_set entry") for v in d.get("fault_set", ())),
+            inputs=tuple(_json_real(x, "input") for x in d["inputs"]),
             scheduler=SchedulerSpec(d["scheduler"]["kind"], d["scheduler"].get("params", {})),
             byzantine=ByzantineSpec(byz["kind"], byz.get("params", {})) if byz else None,
-            seed=d.get("seed", 0),
-            max_rounds=d.get("max_rounds", 1000),
-            epsilon=d.get("epsilon", 0.0),
+            seed=_json_int(d.get("seed", 0), "seed"),
+            max_rounds=_json_int(d.get("max_rounds", 1000), "max_rounds"),
+            epsilon=_json_real(d.get("epsilon", 0.0), "epsilon"),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

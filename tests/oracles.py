@@ -104,6 +104,40 @@ def naive_source_size_verdict(g: Digraph, f: int) -> str:
     return "pass"
 
 
+def naive_failing_reduction(g: Digraph, f: int, min_source_size: int, budget: int):
+    """Literal sweep of the minimal reductions in the kernel's order.
+
+    Fault sets by size then lexicographic (|F| < n).  Per surviving node,
+    every removal of exactly min(f, d) of its d remaining in-neighbours, in
+    combinations order; reductions in itertools.product order over the
+    survivors (last survivor fastest).  Each reduction inspected counts as
+    one examined; past `budget` the sweep stops, reporting budget + 1.
+    Returns (status, examined, (F, {node: kept in-neighbour set})) for the
+    first reduction without a unique source component of at least
+    min_source_size nodes, status being "pass" | "fail" | "budget-exceeded".
+    """
+    examined = 0
+    for k in range(min(f, g.n - 1) + 1):
+        for fs in itertools.combinations(g.nodes, k):
+            survivors = [v for v in g.nodes if v not in fs]
+            options = []
+            for v in survivors:
+                base = sorted(u for u in g.in_nbrs[v] if u not in fs)
+                w = min(f, len(base))
+                options.append(
+                    [set(base) - set(removal) for removal in itertools.combinations(base, w)]
+                )
+            for combo in itertools.product(*options):
+                examined += 1
+                if examined > budget:
+                    return ("budget-exceeded", examined, None)
+                kept_in = dict(zip(survivors, combo))
+                sizes = _source_component_sizes(kept_in)
+                if len(sizes) != 1 or sizes[0] < min_source_size:
+                    return ("fail", examined, (set(fs), kept_in))
+    return ("pass", examined, None)
+
+
 def nx_condense(g: Digraph):
     """networkx condensation as (components sorted by min member, dag edge set)."""
     dg = nx.DiGraph()

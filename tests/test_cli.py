@@ -7,7 +7,7 @@ import pytest
 
 from byztrim import cli
 from byztrim.cli import main
-from byztrim.conditions import check_partition_condition
+from byztrim.conditions import check_partition_condition, check_reduced_graph_condition
 from byztrim.digraph import parse_graph
 
 
@@ -108,12 +108,48 @@ class TestEquiv:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["total"] == 30 and out["agreement"] is True
+        assert out["budget_exceeded"] == 0
 
     def test_exhaustive_capped(self, capsys):
         assert main(["equiv", "--n", "6", "--f", "0", "--exhaustive"]) == 2
 
+    def test_reduced_graph_budget_exceeded_is_not_a_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "check_reduced_graph_condition",
+            functools.partial(check_reduced_graph_condition, budget=2),
+        )
+        # The three sparse samples fail within two reductions; the three
+        # dense ones pass the partition check and exceed the budget.
+        rc = main(["equiv", "--n", "5", "--f", "1", "--samples", "6"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert (out["passing"], out["budget_exceeded"]) == (3, 3)
+        assert out["disagreements"] == [] and out["agreement"] is True
+
+    def test_partition_budget_exceeded_is_not_a_disagreement(self, capsys, tiny_budget):
+        rc = main(["equiv", "--n", "4", "--f", "1", "--samples", "6", "--seed", "3"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert 0 < out["budget_exceeded"] <= 6
+        assert out["disagreements"] == []
+
 
 class TestRunVerify:
+    def test_run_rejects_nan_input(self, tmp_path, k6_file, capsys):
+        config = {
+            "graph": json.loads(k6_file.read_text()),
+            "f": 1,
+            "inputs": [float("nan"), 0.2, 0.4, 0.6, 0.8, 0.5],
+            "scheduler": {"kind": "random"},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "trace.csv")])
+        assert rc == 2
+        assert "finite number" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_round_trip(self, tmp_path, k6_file, capsys):
         config = {
             "graph": json.loads(k6_file.read_text()),

@@ -4,15 +4,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from byztrim.digraph import (
     Digraph,
     GraphError,
     condensation,
-    count_reduced_graphs,
     parse_graph,
-    reduced_graphs,
     source_components,
 )
 from conftest import complete, random_digraph
@@ -118,60 +115,3 @@ class TestSourceComponents:
     def test_disjoint_cycles_are_both_sources(self):
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         assert source_components(condensation(g)) == {0, 1}
-
-
-class TestReducedGraphs:
-    def test_k3_with_one_removed(self):
-        g = complete(3)
-        rgs = list(reduced_graphs(g, {2}, 1))
-        assert len(rgs) == 4
-        kept = {rg.kept_edges for rg in rgs}
-        assert kept == {
-            frozenset({(0, 1), (1, 0)}),
-            frozenset({(0, 1)}),
-            frozenset({(1, 0)}),
-            frozenset(),
-        }
-        for rg in rgs:
-            rg.check_invariants(1)
-
-    def test_first_item_removes_nothing(self):
-        g = complete(4)
-        first = next(reduced_graphs(g, {3}, 1))
-        assert first.kept_edges == frozenset(
-            (i, j) for (i, j) in g.edges if i != 3 and j != 3
-        )
-
-    def test_f_zero_yields_only_the_graph(self):
-        g = random_digraph(5, 0.6, random.Random(2))
-        rgs = list(reduced_graphs(g, set(), 0))
-        assert len(rgs) == 1
-        assert rgs[0].kept_edges == g.edges
-
-    def test_fault_set_larger_than_f(self):
-        with pytest.raises(GraphError, match="exceeds"):
-            next(reduced_graphs(complete(4), {0, 1}, 1))
-
-    def test_fault_set_cannot_cover_graph(self):
-        with pytest.raises(GraphError, match="at least one node"):
-            next(reduced_graphs(Digraph(1, []), {0}, 1))
-
-    def test_enumeration_is_deterministic(self):
-        g = random_digraph(4, 0.7, random.Random(9))
-        a = [rg.kept_edges for rg in reduced_graphs(g, {1}, 1)]
-        b = [rg.kept_edges for rg in reduced_graphs(g, {1}, 1)]
-        assert a == b
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 12 - 1), st.integers(0, 2), st.integers(0, 4))
-    def test_count_formula(self, bits, f, fnode):
-        # Count of distinct reductions = product over surviving nodes of
-        # sum_{k<=min(f,d)} C(d,k), checked against actual enumeration.
-        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-        g = Digraph(4, [e for k, e in enumerate(pairs) if bits >> k & 1])
-        fault = {fnode} if f >= 1 and fnode < 4 else set()
-        rgs = list(reduced_graphs(g, fault, f))
-        assert len(rgs) == count_reduced_graphs(g, fault, f)
-        assert len(set(rg.kept_edges for rg in rgs)) == len(rgs)
-        for rg in rgs:
-            rg.check_invariants(f)

@@ -12,7 +12,7 @@ from byztrim._kernels import pure
 from byztrim.conditions import check_partition_condition, threshold
 from byztrim.digraph import Digraph
 from conftest import random_digraph
-from oracles import naive_violating_partition
+from oracles import naive_failing_reduction, naive_violating_partition
 
 
 def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
@@ -109,6 +109,46 @@ class TestPartitionSearch:
         status, examined, _ = pure.violating_partition(n, masks, 2, 5, 10**9)
         assert status == pure.PASS
         assert examined < 10**6
+
+
+class TestReductionSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1)) - 1))
+        ),
+        st.integers(0, 2),
+        st.booleans(),
+        st.integers(0, 300),
+    )
+    def test_status_examined_and_witness_match_literal_sweep(self, graph, f, by_size, budget):
+        n, bits = graph
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        g = Digraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+        mss = f + 1 if by_size else 1
+        status, examined, witness = pure.failing_reduction(n, g.in_masks(), f, mss, budget)
+        expect_status, expect_examined, expect_witness = naive_failing_reduction(g, f, mss, budget)
+        codes = {"pass": pure.PASS, "fail": pure.FAIL, "budget-exceeded": pure.BUDGET_EXCEEDED}
+        assert (status, examined) == (codes[expect_status], expect_examined)
+        if expect_witness is None:
+            assert witness is None
+        else:
+            f_mask, kept_in = witness
+            fault, kept_sets = expect_witness
+            assert {v for v in range(n) if f_mask >> v & 1} == fault
+            assert {v: {u for u in range(n) if m >> u & 1} for v, m in kept_in.items()} == kept_sets
+
+    def test_tiny_budget_is_exceeded_deterministically(self):
+        masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6 passes with f=1
+        status, examined, _ = pure.failing_reduction(6, masks, 1, 1, 10**9)
+        assert (status, examined) == (pure.PASS, 5**6 + 6 * 4**5)
+        for budget in (0, 1, 4, examined - 1):
+            assert pure.failing_reduction(6, masks, 1, 1, budget) == (
+                pure.BUDGET_EXCEEDED,
+                budget + 1,
+                None,
+            )
+        assert pure.failing_reduction(6, masks, 1, 1, examined) == (pure.PASS, examined, None)
 
 
 def _full_family_ok(n: int, in_masks: tuple[int, ...], f: int, min_size: int) -> bool:

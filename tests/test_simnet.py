@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -61,6 +62,31 @@ class TestConfigValidation:
         cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -1, "high": 2}))
         again = SimConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("f", True, "f must be an integer"),
+            ("f", 1.0, "f must be an integer"),
+            ("seed", False, "seed must be an integer"),
+            ("seed", "7", "seed must be an integer"),
+            ("max_rounds", 20.5, "max_rounds must be an integer"),
+            ("max_rounds", True, "max_rounds must be an integer"),
+            ("fault_set", [5.0], "fault_set entry must be an integer"),
+            ("inputs", [float("nan")] + [0.0] * 5, "input must be a finite number"),
+            ("inputs", [float("inf")] + [0.0] * 5, "input must be a finite number"),
+            ("inputs", [True] + [0.0] * 5, "input must be a finite number"),
+            ("inputs", ["0.5"] + [0.0] * 5, "input must be a finite number"),
+            ("epsilon", float("nan"), "epsilon must be a finite number"),
+            ("epsilon", float("-inf"), "epsilon must be a finite number"),
+        ],
+    )
+    def test_json_rejects_malformed_field(self, field, value, message):
+        cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -1, "high": 2}))
+        d = cfg.to_json_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=message):
+            SimConfig.from_json(json.dumps(d))
 
 
 class TestByzantineValues:
