@@ -8,6 +8,11 @@ The reduced-graph rows compare the pure incremental sweep with the compiled
 twin, which runs a search from every survivor for each reduction; both
 inspect the same reductions in the same order.
 
+The simulator rows time `run_simulation` per scheduler and report
+deliveries per second: `random`, `fifo` and `synchronous` on complete
+graphs (f=1, one `random` Byzantine node, fixed round counts), and the
+adaptive-delay attack on K5 (f=1) and K10 (f=2).  They run on any backend.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -17,7 +22,9 @@ import argparse
 import random
 import time
 
+from byztrim import simnet
 from byztrim._kernels import pure
+from byztrim.conditions import ASYNC, check_partition_condition
 from byztrim.harness import generate_graph
 
 try:
@@ -79,6 +86,50 @@ def workloads():
     ]
 
 
+def simulator_configs():
+    """(name, SimConfig) rows; every config is fixed, so every run of a row
+    delivers the same messages."""
+    rows = []
+    for kind in ("random", "fifo", "synchronous"):
+        for n, rounds in ((6, 200), (16, 50), (32, 20)):
+            rng = random.Random(n)
+            config = simnet.SimConfig(
+                graph=generate_graph("complete", {"n": n}),
+                f=1,
+                fault_set=frozenset({n - 1}),
+                inputs=tuple(rng.random() for _ in range(n)),
+                scheduler=simnet.SchedulerSpec(kind),
+                byzantine=simnet.ByzantineSpec("random", {"low": -1.0, "high": 2.0}),
+                seed=n,
+                max_rounds=rounds,
+                epsilon=0.0,
+            )
+            rows.append((f"{kind}, K{n} f=1, {rounds} rounds", config))
+    for g, f, rounds in (
+        (generate_graph("counterexample-k5"), 1, 400),
+        (generate_graph("complete", {"n": 10}), 2, 150),
+    ):
+        witness = check_partition_condition(g, f, ASYNC).witness
+        config = simnet.build_attack_config(g, f, witness, 0.0, 1.0, max_rounds=rounds)
+        rows.append((f"adaptive-delay attack, K{g.n} f={f}, {rounds} rounds", config))
+    return rows
+
+
+def simulator_rate(config, repeat: int) -> tuple[int, float]:
+    """Deliveries of one run and the best deliveries/s over `repeat`
+    samples; a sample repeats the run until it covers about 20,000
+    deliveries, so short runs are not timed alone."""
+    count = len(simnet.run_simulation(config).deliveries)
+    runs = max(1, 20_000 // max(count, 1))
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(runs):
+            simnet.run_simulation(config)
+        best = min(best, time.perf_counter() - start)
+    return count, count * runs / best
+
+
 def best_time(fn, impl, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -88,23 +139,38 @@ def best_time(fn, impl, repeat: int) -> float:
     return best
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--repeat", type=int, default=3, help="best-of-N timing")
-    args = parser.parse_args()
+def simulator_rows(repeat: int) -> None:
+    header = f"{'simulator run':44s} {'deliveries':>10s} {'per s':>10s}"
+    print(header)
+    print("-" * len(header))
+    for name, config in simulator_configs():
+        count, rate = simulator_rate(config, repeat)
+        print(f"{name:44s} {count:10d} {rate:10.0f}")
 
+
+def kernel_rows(repeat: int) -> None:
     if native is None:
         print("compiled kernel not available; showing pure timings only")
     header = f"{'workload':44s} {'pure':>10s} {'native':>10s} {'speedup':>8s}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads():
-        t_pure = best_time(fn, pure, args.repeat)
+        t_pure = best_time(fn, pure, repeat)
         if native is not None:
-            t_native = best_time(fn, native, args.repeat)
+            t_native = best_time(fn, native, repeat)
             print(f"{name:44s} {t_pure:9.4f}s {t_native:9.4f}s {t_pure / t_native:7.1f}x")
         else:
             print(f"{name:44s} {t_pure:9.4f}s {'-':>10s} {'-':>8s}")
+    print()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeat", type=int, default=3, help="best-of-N timing")
+    args = parser.parse_args()
+
+    kernel_rows(args.repeat)
+    simulator_rows(args.repeat)
     return 0
 
 

@@ -23,7 +23,6 @@ from byztrim.conditions import (
 )
 from byztrim.digraph import GraphError, parse_graph
 from byztrim.protocol import compute_alpha
-from byztrim.simnet import VALIDITY_SLACK
 
 
 def _load_graph(path: str):
@@ -214,14 +213,9 @@ def _cmd_verify(args) -> int:
     if not values:
         print("error: empty trace", file=sys.stderr)
         return 2
-    common = min(len(v) for v in values.values())
-    u = [max(values[v][t] for v in values) for t in range(common)]
-    mu = [min(values[v][t] for v in values) for t in range(common)]
+    u, mu, validity = simnet.value_levels(values)
     spreads = [a - b for a, b in zip(u, mu)]
-    validity_ok = all(
-        mu[t] >= mu[t - 1] - VALIDITY_SLACK and u[t] <= u[t - 1] + VALIDITY_SLACK
-        for t in range(1, common)
-    )
+    validity_ok = all(validity)
     alpha = compute_alpha(g, args.f)
     ok, report = harness.verify_contraction(spreads, alpha, g.n, args.f)
     _emit(
@@ -229,7 +223,7 @@ def _cmd_verify(args) -> int:
             "validity_ok": validity_ok,
             "contraction": report.to_json_dict(),
             "alpha": str(alpha),
-            "rounds": common - 1,
+            "rounds": len(u) - 1,
         }
     )
     return 0 if ok and validity_ok else 1

@@ -129,12 +129,6 @@ class Condensation:
     components: tuple[frozenset[int], ...]
     dag_edges: frozenset[tuple[int, int]]
 
-    def component_of(self, v: int) -> int:
-        for idx, comp in enumerate(self.components):
-            if v in comp:
-                return idx
-        raise KeyError(v)
-
 
 def _tarjan(nodes: list[int], out_adj: dict[int, Iterable[int]]) -> list[list[int]]:
     """Iterative Tarjan SCC over an arbitrary node subset."""

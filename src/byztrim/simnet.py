@@ -9,10 +9,13 @@ delivery order.  Every run is fully reproducible from its SimConfig
 
 from __future__ import annotations
 
+import bisect
 import csv
+import heapq
 import json
 import math
 import random
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -96,16 +99,24 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        """Build a config from its JSON form.  Integer fields must be JSON
-        integers (not booleans or floats) and real fields finite numbers;
-        anything else raises ValueError."""
-        byz = d.get("byzantine")
+        """Build a config from its JSON form.  `graph`, `f`, `inputs` and
+        `scheduler` are required (null counts as missing) and unknown fields
+        are rejected; integer
+        fields must be JSON integers (not booleans or floats) and real
+        fields finite numbers.  Anything else raises ValueError."""
+        _json_object(d, "config", _CONFIG_FIELDS)
+        for name in ("graph", "f", "inputs", "scheduler"):
+            if d.get(name) is None:
+                raise ValueError(f"config is missing {name!r}")
+        sched = _json_spec(d["scheduler"], "scheduler")
+        byz = _json_spec(d.get("byzantine"), "byzantine")
+        fault_set = _json_list(d.get("fault_set", []), "fault_set")
         return cls(
             graph=parse_graph(d["graph"]),
             f=_json_int(d["f"], "f"),
-            fault_set=frozenset(_json_int(v, "fault_set entry") for v in d.get("fault_set", ())),
-            inputs=tuple(_json_real(x, "input") for x in d["inputs"]),
-            scheduler=SchedulerSpec(d["scheduler"]["kind"], d["scheduler"].get("params", {})),
+            fault_set=frozenset(_json_int(v, "fault_set entry") for v in fault_set),
+            inputs=tuple(_json_real(x, "input") for x in _json_list(d["inputs"], "inputs")),
+            scheduler=SchedulerSpec(sched["kind"], sched.get("params", {})),
             byzantine=ByzantineSpec(byz["kind"], byz.get("params", {})) if byz else None,
             seed=_json_int(d.get("seed", 0), "seed"),
             max_rounds=_json_int(d.get("max_rounds", 1000), "max_rounds"),
@@ -115,6 +126,42 @@ class SimConfig:
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
         return cls.from_json_dict(json.loads(text))
+
+
+_CONFIG_FIELDS = frozenset(
+    ("graph", "f", "fault_set", "inputs", "scheduler", "byzantine", "seed", "max_rounds", "epsilon")
+)
+_SPEC_FIELDS = frozenset(("kind", "params"))
+
+
+def _json_object(value, name: str, fields: frozenset[str]) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - fields)
+    if unknown:
+        raise ValueError(f"{name} has unknown field(s) {', '.join(map(repr, unknown))}")
+    return value
+
+
+def _json_spec(value, name: str) -> dict | None:
+    """A scheduler or byzantine object: {"kind": str, "params": {...}}.
+    None (JSON null) passes through for the optional byzantine entry."""
+    if value is None:
+        return None
+    _json_object(value, name, _SPEC_FIELDS)
+    if "kind" not in value:
+        raise ValueError(f"{name} is missing 'kind'")
+    if not isinstance(value["kind"], str):
+        raise ValueError(f"{name} kind must be a string, got {value['kind']!r}")
+    if not isinstance(value.get("params", {}), dict):
+        raise ValueError(f"{name} params must be a JSON object, got {value['params']!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _json_int(value, name: str) -> int:
@@ -131,13 +178,11 @@ def _json_real(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class PendingMessage:
-    """An in-flight message: unique sequence number plus the virtual time it
-    entered the network."""
+    """An in-flight message; the unique sequence number is its send order."""
 
     sequence: int
     destination: int
     message: RoundMessage
-    available_at: int
 
 
 @dataclass(frozen=True)
@@ -255,39 +300,73 @@ def byzantine_values(
 
 
 class RandomScheduler:
-    """Uniform out-of-order delivery among all pending messages."""
+    """Uniform out-of-order delivery among all pending messages.
+
+    The pool is a list in push order; a pop draws one index uniformly and
+    removes it with list.pop, O(pending) memmove but no Python-level scan."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self.pool: list[PendingMessage] = []
 
-    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
-        return self.rng.randrange(len(pending))
+    def __len__(self) -> int:
+        return len(self.pool)
+
+    def push(self, pm: PendingMessage) -> None:
+        self.pool.append(pm)
+
+    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+        return self.pool.pop(self.rng.randrange(len(self.pool)))
 
 
 class FifoScheduler:
-    """Random delivery, but per-link in order (lowest sequence per link first)."""
+    """Random delivery, but per-link in order (lowest sequence per link first).
+
+    Each link keeps a deque in sequence order; `heads` lists the non-empty
+    links' head sequences in ascending order, and a pop draws one of them
+    uniformly.  O(log links) search plus an O(links) list insert per pop."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self.links: defaultdict[tuple[int, int], deque[PendingMessage]] = defaultdict(deque)
+        self.heads: list[tuple[int, tuple[int, int]]] = []
 
-    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
-        heads: dict[tuple[int, int], int] = {}
-        for idx, pm in enumerate(pending):
-            link = (pm.message.sender, pm.destination)
-            if link not in heads or pm.sequence < pending[heads[link]].sequence:
-                heads[link] = idx
-        candidates = sorted(heads.values(), key=lambda i: pending[i].sequence)
-        return candidates[self.rng.randrange(len(candidates))]
+    def __len__(self) -> int:
+        return sum(map(len, self.links.values()))
+
+    def push(self, pm: PendingMessage) -> None:
+        link = (pm.message.sender, pm.destination)
+        queue = self.links[link]
+        if not queue:
+            bisect.insort(self.heads, (pm.sequence, link))
+        queue.append(pm)
+
+    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+        _, link = self.heads.pop(self.rng.randrange(len(self.heads)))
+        queue = self.links[link]
+        pm = queue.popleft()
+        if queue:
+            bisect.insort(self.heads, (queue[0].sequence, link))
+        return pm
 
 
 class SynchronousScheduler:
     """Deliver all messages of a round tag before any later tag (plumbing for
     lockstep sanity runs; pair with SimConfig scheduler kind "synchronous",
-    which also makes nodes wait for every in-edge)."""
+    which also makes nodes wait for every in-edge).  A heap keyed by
+    (tag, sequence): O(log pending) per pop."""
 
-    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
-        best = min(range(len(pending)), key=lambda i: (pending[i].message.tag, pending[i].sequence))
-        return best
+    def __init__(self):
+        self.heap: list[tuple[int, int, PendingMessage]] = []
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+    def push(self, pm: PendingMessage) -> None:
+        heapq.heappush(self.heap, (pm.message.tag, pm.sequence, pm))
+
+    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+        return heapq.heappop(self.heap)[2]
 
 
 class AdaptiveDelayScheduler:
@@ -295,7 +374,20 @@ class AdaptiveDelayScheduler:
     (resp. right) side, the messages from a fixed set of min(f, |cross|)
     cross-side senders are withheld until the receiver completes the round
     that could have used them, then released (and discarded as stale).  All
-    delays stay finite."""
+    delays stay finite.
+
+    Delivery is the lowest sequence among the messages not withheld.  Those
+    sit in a heap keyed by sequence; messages from a receiver's withheld
+    senders sit in that receiver's heap keyed by (tag, sequence) and move
+    to the released heap once the receiver's round exceeds tag + 1.
+
+    A receiver's held heap can gain a releasable message only when it is
+    pushed to or when its round rises.  The event loop raises a round only
+    for the destination of the message it just delivered (and for any node
+    before the first delivery), so `pop` re-examines just the receivers in
+    `stale`: all of them at first, then the ones pushed to since the last
+    pop and the last popped destination.  A pop costs O(log pending) plus
+    the releases it makes."""
 
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
@@ -306,24 +398,38 @@ class AdaptiveDelayScheduler:
         for v in sorted(right):
             cross = sorted(g.in_nbrs[v] & (left | center))
             self.withheld[v] = frozenset(cross[: min(f, len(cross))])
+        self.held: dict[int, list[tuple[int, int, PendingMessage]]] = {
+            v: [] for v, senders in self.withheld.items() if senders
+        }
+        self.released: list[tuple[int, PendingMessage]] = []
+        self.stale: set[int] = set(self.held)
 
-    def _held(self, pm: PendingMessage, rounds: dict[int, int]) -> bool:
+    def __len__(self) -> int:
+        return len(self.released) + sum(map(len, self.held.values()))
+
+    def push(self, pm: PendingMessage) -> None:
         senders = self.withheld.get(pm.destination)
-        if not senders or pm.message.sender not in senders:
-            return False
-        # Held while the receiver could still use the tag (round <= tag+1).
-        return rounds[pm.destination] <= pm.message.tag + 1
+        if senders and pm.message.sender in senders:
+            heapq.heappush(self.held[pm.destination], (pm.message.tag, pm.sequence, pm))
+            self.stale.add(pm.destination)
+        else:
+            heapq.heappush(self.released, (pm.sequence, pm))
 
-    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
-        best = -1
-        for idx, pm in enumerate(pending):
-            if self._held(pm, rounds):
-                continue
-            if best < 0 or pm.sequence < pending[best].sequence:
-                best = idx
-        if best < 0:
+    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+        released, held = self.released, self.held
+        for v in self.stale:
+            heap = held[v]
+            # Held while the receiver could still use the tag (round <= tag+1).
+            while heap and rounds[v] > heap[0][0] + 1:
+                _, seq, pm = heapq.heappop(heap)
+                heapq.heappush(released, (seq, pm))
+        if not released:
             raise SimulationError("scheduler deadlock: every pending message is withheld")
-        return best
+        self.stale.clear()
+        pm = heapq.heappop(released)[1]
+        if pm.destination in held:
+            self.stale.add(pm.destination)
+        return pm
 
 
 def make_scheduler(config: SimConfig):
@@ -360,9 +466,9 @@ def run_simulation(config: SimConfig) -> Trace:
     rounds = {v: states[v].round for v in g.nodes}
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
     deliveries: list[Delivery] = []
-    pending: list[PendingMessage] = []
     scheduler = make_scheduler(config)
-    seq = 0
+    push, pop = scheduler.push, scheduler.pop
+    seq = 0  # messages sent; seq - vt of them are pending
     vt = 0
 
     def emit(v: int) -> None:
@@ -380,7 +486,7 @@ def run_simulation(config: SimConfig) -> Trace:
         else:
             outgoing = st.outgoing_messages()
         for dest, msg in outgoing:
-            pending.append(PendingMessage(seq, dest, msg, vt))
+            push(PendingMessage(seq, dest, msg))
             seq += 1
 
     u_levels = [max(values[v][0] for v in fault_free)]
@@ -430,10 +536,9 @@ def run_simulation(config: SimConfig) -> Trace:
             process_ready(v)
 
     while outcome is None:
-        if not pending:
+        if vt == seq:
             raise SimulationError("no pending messages but the run is not finished")
-        idx = scheduler.select(pending, rounds)
-        pm = pending.pop(idx)
+        pm = pop(rounds)
         vt += 1
         deliveries.append(
             Delivery(vt, pm.message.sender, pm.destination, pm.message.tag, pm.message.value)
@@ -542,18 +647,29 @@ class TraceMetrics:
         }
 
 
+def value_levels(values: dict[int, list[float]]) -> tuple[list[float], list[float], list[bool]]:
+    """U[t] (maximum) and mu[t] (minimum) over the nodes of a
+    {node: [v[0], v[1], ...]} history, for the rounds every node completed,
+    and per-round validity: index t checks round t against t-1 (index 0 is
+    True), with VALIDITY_SLACK tolerance."""
+    common = min(len(vs) for vs in values.values())
+    u = [max(vs[t] for vs in values.values()) for t in range(common)]
+    mu = [min(vs[t] for vs in values.values()) for t in range(common)]
+    validity = [True]
+    for t in range(1, common):
+        validity.append(
+            mu[t] >= mu[t - 1] - VALIDITY_SLACK and u[t] <= u[t - 1] + VALIDITY_SLACK
+        )
+    return u, mu, validity
+
+
 def trace_metrics(trace: Trace, epsilon: float | None = None) -> TraceMetrics:
     """Per-round maximum/minimum/spread over fault-free nodes, the first
     round at or below epsilon, and per-round validity checks."""
     eps = trace.config.epsilon if epsilon is None else epsilon
-    u, mu = trace.u_levels, trace.mu_levels
+    u, mu, validity = value_levels(trace.values)
     spreads = [a - b for a, b in zip(u, mu)]
     first = next((t for t, s in enumerate(spreads) if s <= eps), None)
-    validity = [True]
-    for t in range(1, len(u)):
-        validity.append(
-            mu[t] >= mu[t - 1] - VALIDITY_SLACK and u[t] <= u[t - 1] + VALIDITY_SLACK
-        )
     return TraceMetrics(tuple(u), tuple(mu), tuple(spreads), first, tuple(validity))
 
 

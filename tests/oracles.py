@@ -2,17 +2,20 @@
 
 Everything here favours obviousness over speed: explicit set arithmetic,
 full itertools enumeration (no bitmasks, no minimal-reduction shortcut)
-and networkx for the SCC work.  Only call these on tiny graphs.
+and networkx for the SCC work.  Only call these on tiny graphs.  The
+scheduler selectors scan every pending message on each delivery.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
+from byztrim.simnet import PendingMessage, SimulationError
 
 
 def naive_reaches(g: Digraph, a: set[int], b: set[int], r: int) -> bool:
@@ -149,3 +152,68 @@ def nx_condense(g: Digraph):
     mapping = {c: index[frozenset(cond.nodes[c]["members"])] for c in cond.nodes}
     dag = {(mapping[a], mapping[b]) for a, b in cond.edges}
     return comps, dag
+
+
+# ---------------------------------------------------------------------------
+# Naive scheduler selectors: a scan of the whole pending list per delivery.
+# Each returns the index into `pending` of the message to deliver next.
+
+
+class NaiveRandomSelector:
+    """Uniform out-of-order delivery among all pending messages."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
+        return self.rng.randrange(len(pending))
+
+
+class NaiveFifoSelector:
+    """Random delivery, but per-link in order (lowest sequence per link first)."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
+        heads: dict[tuple[int, int], int] = {}
+        for idx, pm in enumerate(pending):
+            link = (pm.message.sender, pm.destination)
+            if link not in heads or pm.sequence < pending[heads[link]].sequence:
+                heads[link] = idx
+        candidates = sorted(heads.values(), key=lambda i: pending[i].sequence)
+        return candidates[self.rng.randrange(len(candidates))]
+
+
+class NaiveSynchronousSelector:
+    """Lowest (tag, sequence) first."""
+
+    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
+        best = min(range(len(pending)), key=lambda i: (pending[i].message.tag, pending[i].sequence))
+        return best
+
+
+class NaiveAdaptiveDelaySelector:
+    """Lowest sequence among the messages not withheld; `withheld` maps a
+    receiver to the senders whose messages it is starved of."""
+
+    def __init__(self, withheld: dict[int, frozenset[int]]):
+        self.withheld = withheld
+
+    def _held(self, pm: PendingMessage, rounds: dict[int, int]) -> bool:
+        senders = self.withheld.get(pm.destination)
+        if not senders or pm.message.sender not in senders:
+            return False
+        # Held while the receiver could still use the tag (round <= tag+1).
+        return rounds[pm.destination] <= pm.message.tag + 1
+
+    def select(self, pending: list[PendingMessage], rounds: dict[int, int]) -> int:
+        best = -1
+        for idx, pm in enumerate(pending):
+            if self._held(pm, rounds):
+                continue
+            if best < 0 or pm.sequence < pending[best].sequence:
+                best = idx
+        if best < 0:
+            raise SimulationError("scheduler deadlock: every pending message is withheld")
+        return best

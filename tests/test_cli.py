@@ -150,6 +150,36 @@ class TestRunVerify:
         assert "finite number" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"inputs": [0, 1], "scheduler": {"kind": "random"}}, "missing 'f'"),
+            ({"f": 1, "inputs": [0, 1], "scheduler": {}}, "scheduler is missing 'kind'"),
+            ({"f": 1, "inputs": [0, 1], "scheduler": None}, "missing 'scheduler'"),
+            ({"f": 1, "inputs": [0, 1], "scheduler": {"kind": "random"}, "sed": 2}, "unknown field"),
+        ],
+    )
+    def test_run_rejects_incomplete_config(self, tmp_path, k6_file, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": json.loads(k6_file.read_text()), **config}))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "trace.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_verify_reports_validity_violation(self, tmp_path, k6_file, capsys):
+        # Node 2 leaves the round-0 range [0, 1] in round 1.
+        trace_path = tmp_path / "bad.csv"
+        rows = ["round,nodeId,value"]
+        rows += [f"0,{v},{v / 4}" for v in range(5)]
+        rows += [f"1,{v},{1.5 if v == 2 else 0.5}" for v in range(5)]
+        trace_path.write_text("\n".join(rows) + "\n")
+        rc = main(["verify", str(trace_path), "--graph", str(k6_file), "--f", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["validity_ok"] is False
+        assert report["rounds"] == 1
+
     def test_round_trip(self, tmp_path, k6_file, capsys):
         config = {
             "graph": json.loads(k6_file.read_text()),

@@ -1,18 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from byztrim.conditions import Partition, check_partition_condition
 from byztrim.digraph import Digraph
+from byztrim.protocol import RoundMessage
 from byztrim.simnet import (
+    AdaptiveDelayScheduler,
     BehaviorContext,
     ByzantineSpec,
+    FifoScheduler,
+    PendingMessage,
+    RandomScheduler,
     SchedulerSpec,
     SimConfig,
+    SimulationError,
+    SynchronousScheduler,
     build_attack_config,
     byzantine_values,
     run_simulation,
@@ -88,6 +98,45 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             SimConfig.from_json(json.dumps(d))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("graph"), "missing 'graph'"),
+            (lambda d: d.pop("f"), "missing 'f'"),
+            (lambda d: d.pop("inputs"), "missing 'inputs'"),
+            (lambda d: d.pop("scheduler"), "missing 'scheduler'"),
+            (lambda d: d.update(scheduler=None), "missing 'scheduler'"),
+            (lambda d: d.update(graph=None), "missing 'graph'"),
+            (lambda d: d["scheduler"].pop("kind"), "scheduler is missing 'kind'"),
+            (lambda d: d["byzantine"].pop("kind"), "byzantine is missing 'kind'"),
+            (lambda d: d.update(rounds=10), "config has unknown field\\(s\\) 'rounds'"),
+            (lambda d: d.update(sed=1, epsilom=0.1), "unknown field\\(s\\) 'epsilom', 'sed'"),
+            (lambda d: d["scheduler"].update(seed=3), "scheduler has unknown field\\(s\\) 'seed'"),
+            (lambda d: d.update(scheduler="random"), "scheduler must be a JSON object"),
+            (lambda d: d["byzantine"].update(params=[1]), "byzantine params must be a JSON object"),
+            (lambda d: d.update(inputs=0.5), "inputs must be a list"),
+            (lambda d: d.update(fault_set=5), "fault_set must be a list"),
+        ],
+    )
+    def test_json_rejects_missing_or_unknown_field(self, edit, message):
+        d = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {})).to_json_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=message):
+            SimConfig.from_json_dict(d)
+
+    def test_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            SimConfig.from_json("[1, 2]")
+
+    def test_json_defaults_optional_fields(self):
+        d = k6_config().to_json_dict()
+        for name in ("fault_set", "byzantine", "seed", "max_rounds", "epsilon"):
+            del d[name]
+        cfg = SimConfig.from_json_dict(d)
+        assert (cfg.fault_set, cfg.byzantine, cfg.seed, cfg.max_rounds, cfg.epsilon) == (
+            frozenset(), None, 0, 1000, 0.0
+        )
+
 
 class TestByzantineValues:
     def test_split_targets_sides(self):
@@ -149,6 +198,8 @@ class TestRunSimulation:
         assert trace.outcome == "converged"
         assert metrics.all_valid
         assert metrics.first_converged_round == trace.converged_round
+        assert list(metrics.u_levels) == trace.u_levels
+        assert list(metrics.mu_levels) == trace.mu_levels
 
     def test_silent_byzantine_is_tolerated(self):
         cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("silent"))
@@ -220,6 +271,18 @@ class TestRunSimulation:
                 assert trace.values[v][t] == pytest.approx(expect[v], abs=1e-12)
 
 
+def two_cluster_attack(max_rounds: int) -> tuple[SimConfig, Partition]:
+    """Two complete 5-cliques with only two cross in-edges per node: every
+    in-degree is 3f+1 for f=1, yet the empty-F cut starves both sides."""
+    left, right = frozenset(range(5)), frozenset(range(5, 10))
+    edges = [(i, j) for i in left for j in left if i != j]
+    edges += [(i, j) for i in right for j in right if i != j]
+    edges += [(u, v) for v in left for u in (5, 6)]
+    edges += [(u, v) for v in right for u in (0, 1)]
+    w = Partition(frozenset(), left, frozenset(), right)
+    return build_attack_config(Digraph(10, edges), 1, w, 0.0, 1.0, max_rounds=max_rounds), w
+
+
 class TestAttack:
     def witness(self, g, f=1) -> Partition:
         report = check_partition_condition(g, f, "async")
@@ -284,22 +347,13 @@ class TestAttack:
             build_attack_config(k5, 1, self.witness(k5), 1.0, 0.0)
 
     def test_attack_without_faulty_nodes(self):
-        # A violating partition with empty F: scheduling alone blocks
-        # progress.  Two complete 5-cliques with only two cross in-edges per
-        # node keep every in-degree at 3f+1 yet starve both sides.
-        left, right = frozenset(range(5)), frozenset(range(5, 10))
-        edges = [(i, j) for i in left for j in left if i != j]
-        edges += [(i, j) for i in right for j in right if i != j]
-        edges += [(u, v) for v in left for u in (5, 6)]
-        edges += [(u, v) for v in right for u in (0, 1)]
-        g = Digraph(10, edges)
-        w = Partition(frozenset(), left, frozenset(), right)
-        cfg = build_attack_config(g, 1, w, 0.0, 1.0, max_rounds=15)
+        # A violating partition with empty F: scheduling alone blocks progress.
+        cfg, w = two_cluster_attack(max_rounds=15)
         trace = run_simulation(cfg)
         assert cfg.byzantine is None
         assert set(trace.spreads) == {1.0}
-        assert all(set(trace.values[v]) == {0.0} for v in left)
-        assert all(set(trace.values[v]) == {1.0} for v in right)
+        assert all(set(trace.values[v]) == {0.0} for v in w.left)
+        assert all(set(trace.values[v]) == {1.0} for v in w.right)
 
 
 class TestTraceMetrics:
@@ -347,3 +401,123 @@ class TestCsvExport:
         write_trace_csv(run_simulation(cfg), str(a))
         write_trace_csv(run_simulation(cfg), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def _golden_config(kind: str) -> SimConfig:
+    if kind == "adaptive-k5":
+        k5 = complete(5)
+        w = check_partition_condition(k5, 1, "async").witness
+        return build_attack_config(k5, 1, w, 0.0, 1.0, max_rounds=60)
+    if kind == "adaptive-two-cluster":
+        return two_cluster_attack(max_rounds=15)[0]
+    sched, n, behavior, seed, max_rounds = {
+        "random": ("random", 8, ByzantineSpec("random", {"low": -1.0, "high": 2.0}), 7, 40),
+        "fifo": ("fifo", 8, ByzantineSpec("identical-wrong", {"value": 3.0}), 8, 40),
+        "synchronous": ("synchronous", 6, ByzantineSpec("random", {"low": -1.0, "high": 2.0}), 9, 20),
+    }[kind]
+    rng = random.Random(seed)
+    return SimConfig(
+        graph=complete(n), f=1, fault_set=frozenset({n - 1}),
+        inputs=tuple(rng.random() for _ in range(n)), scheduler=SchedulerSpec(sched),
+        byzantine=behavior, seed=seed, max_rounds=max_rounds, epsilon=0.0,
+    )
+
+
+class TestGoldenDeliveryLog:
+    """Pinned SHA-256 of repr(trace.deliveries) followed by the trace CSV
+    bytes, one fixed config per scheduler.  The digests were taken from the
+    list-scanning schedulers that the message pools replaced, so a pool
+    that delivers a different message, or in a different order, fails."""
+
+    GOLDEN = {
+        "random": (1475, "b9bad30093b9f64ae674d3137d1f79c2b7cd64edb364ff1bf39ff54fb4088ba4"),
+        "fifo": (1261, "538ca446eb1c101005cb4c1f81cafa541b192b17b6fad75927b5621fbbc25402"),
+        "synchronous": (450, "e9890037f4115f19f993736749357f5275a9736a9e158b6a32314a52258db242"),
+        "adaptive-k5": (1199, "dd30c6aaea06eb115bbdebb6e8a2ad58f45af8ac8060ac50531833963c02cf4f"),
+        "adaptive-two-cluster": (899, "0397c8306bedb546fc09703c8434e445364bcff1f3297d92c0061d0ec3191f33"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_delivery_log_digest(self, tmp_path, kind):
+        deliveries, digest = self.GOLDEN[kind]
+        trace = run_simulation(_golden_config(kind))
+        out = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(out))
+        assert len(trace.deliveries) == deliveries
+        blob = repr(trace.deliveries).encode() + out.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@st.composite
+def _pool_scenario(draw):
+    """A digraph, an L/C/R/faulty assignment, f, and a stream of operations
+    ("push", edge index, tag), ("pop",) or ("rise", node, step), drawn from
+    a seeded generator so that long streams stay cheap.  As in the event
+    loop, a rise after the first pop goes to the last popped destination
+    (the node given is then ignored)."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    sides = draw(st.lists(st.sampled_from("LLCRRF"), min_size=n, max_size=n))
+    f = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(0, 300))):
+        x = rng.random()
+        if x < 0.45:
+            ops.append(("push", rng.randrange(len(edges)), rng.randrange(5)))
+        elif x < 0.85:
+            ops.append(("pop",))
+        else:
+            ops.append(("rise", rng.randrange(n), rng.randint(1, 2)))
+    return n, edges, sides, f, ops
+
+
+class TestSchedulerPools:
+    """Each message pool against its naive twin in oracles.py (the old
+    select-an-index-of-the-pending-list schedulers), driven by the same
+    interleaved push/pop stream with rising rounds.  Rounds rise as
+    run_simulation raises them: any node before the first delivery, then
+    only the destination of the message just delivered."""
+
+    @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=_pool_scenario(), seed=st.integers(0, 99))
+    def test_pool_matches_naive_selector(self, kind, scenario, seed):
+        n, edges, sides, f, ops = scenario
+        if kind == "random":
+            pool, naive = RandomScheduler(seed), oracles.NaiveRandomSelector(seed)
+        elif kind == "fifo":
+            pool, naive = FifoScheduler(seed), oracles.NaiveFifoSelector(seed)
+        elif kind == "synchronous":
+            pool, naive = SynchronousScheduler(), oracles.NaiveSynchronousSelector()
+        else:
+            g = Digraph(n, edges)
+            side = {s: [v for v in range(n) if sides[v] == s] for s in "LCR"}
+            pool = AdaptiveDelayScheduler(g, f, side["L"], side["C"], side["R"])
+            naive = oracles.NaiveAdaptiveDelaySelector(pool.withheld)
+        pending: list[PendingMessage] = []
+        rounds = {v: 1 for v in range(n)}
+        seq = 0
+        last_dest = None
+        for op in ops:
+            if op[0] == "push":
+                sender, dest = edges[op[1]]
+                pm = PendingMessage(seq, dest, RoundMessage(sender, op[2], float(seq)))
+                seq += 1
+                pending.append(pm)
+                pool.push(pm)
+            elif op[0] == "rise":
+                rounds[op[1] if last_dest is None else last_dest] += op[2]
+            elif pending:
+                try:
+                    expected = pending.pop(naive.select(pending, rounds))
+                except SimulationError as exc:
+                    assert kind == "adaptive-delay"
+                    with pytest.raises(SimulationError, match="scheduler deadlock"):
+                        pool.pop(rounds)
+                    assert str(exc).startswith("scheduler deadlock")
+                else:
+                    assert pool.pop(rounds) == expected
+                    last_dest = expected.destination
+            assert len(pool) == len(pending)
