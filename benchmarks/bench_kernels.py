@@ -13,6 +13,11 @@ deliveries per second: `random`, `fifo` and `synchronous` on complete
 graphs (f=1, one `random` Byzantine node, fixed round counts), and the
 adaptive-delay attack on K5 (f=1) and K10 (f=2).  They run on any backend.
 
+The protocol rows time one `NodeState.apply_update` call (the trim-and-
+average update and the move to the next round) on complete graphs, f=1,
+with a full buffer of distinct random values; buffers are filled outside
+the timed loop.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -23,6 +28,7 @@ import random
 import time
 
 from byztrim import simnet
+from byztrim.protocol import NodeState, RoundMessage
 from byztrim._kernels import pure
 from byztrim.conditions import ASYNC, check_partition_condition
 from byztrim.harness import generate_graph
@@ -130,6 +136,34 @@ def simulator_rate(config, repeat: int) -> tuple[int, float]:
     return count, count * runs / best
 
 
+def update_cost(n: int, repeat: int, calls: int = 5_000) -> float:
+    """Best-of-`repeat` seconds per NodeState.apply_update call on K_n, f=1."""
+    g = generate_graph("complete", {"n": n})
+    rng = random.Random(n)
+    best = float("inf")
+    for _ in range(repeat):
+        nodes = []
+        for _ in range(calls):
+            st = NodeState(0, rng.random(), g, 1)
+            for u in sorted(g.in_nbrs[0]):
+                st.ingest_message(RoundMessage(u, 0, rng.random()))
+            nodes.append(st)
+        start = time.perf_counter()
+        for st in nodes:
+            st.apply_update()
+        best = min(best, time.perf_counter() - start)
+    return best / calls
+
+
+def protocol_rows(repeat: int) -> None:
+    header = f"{'protocol update':44s} {'in-degree':>10s} {'us/call':>10s}"
+    print(header)
+    print("-" * len(header))
+    for n in (8, 16, 32):
+        print(f"{f'NodeState.apply_update, K{n} f=1':44s} {n - 1:10d} {update_cost(n, repeat) * 1e6:10.2f}")
+    print()
+
+
 def best_time(fn, impl, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -170,6 +204,7 @@ def main() -> int:
     args = parser.parse_args()
 
     kernel_rows(args.repeat)
+    protocol_rows(args.repeat)
     simulator_rows(args.repeat)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from byztrim.digraph import Digraph
 
@@ -40,7 +41,9 @@ class NodeState:
     are held for future rounds.
     """
 
-    __slots__ = ("id", "value", "round", "f", "in_nbrs", "out_nbrs", "require_all", "buffer")
+    __slots__ = (
+        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "require_all", "expected_count", "buffer"
+    )
 
     def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool = False):
         if not 0 <= node_id < g.n:
@@ -54,16 +57,11 @@ class NodeState:
         self.in_nbrs = g.in_nbrs[node_id]
         self.out_nbrs = tuple(sorted(g.out_nbrs[node_id]))
         self.require_all = require_all
+        # Messages needed per round: all but f in-edges (all of them when
+        # emulating a synchronous execution).
+        self.expected_count = len(self.in_nbrs) if require_all else len(self.in_nbrs) - f
         # tag -> {sender: value}, insertion-ordered per tag (= arrival order)
         self.buffer: dict[int, dict[int, float]] = {}
-
-    @property
-    def expected_count(self) -> int:
-        """Messages needed per round: all but f in-edges (all of them when
-        emulating a synchronous execution)."""
-        if self.require_all:
-            return len(self.in_nbrs)
-        return len(self.in_nbrs) - self.f
 
     def outgoing_messages(self) -> list[tuple[int, RoundMessage]]:
         """Round-opening transmissions: current value, tagged round-1, to
@@ -79,7 +77,10 @@ class NodeState:
             raise ProtocolError(f"node {self.id} got message from non-neighbour {m.sender}")
         if m.tag < self.round - 1:
             return False
-        slot = self.buffer.setdefault(m.tag, {})
+        slot = self.buffer.get(m.tag)
+        if slot is None:
+            self.buffer[m.tag] = {m.sender: m.value}
+            return True
         if m.sender in slot:
             return False
         slot[m.sender] = m.value
@@ -96,7 +97,8 @@ class NodeState:
         Exactly `expected_count` buffered values are used (first arrivals
         win); they are sorted by (value, sender id), the f smallest and f
         largest dropped, and the rest averaged with the own value at weight
-        1/(kept+1).
+        1/(kept+1).  Tags below the one used are never buffered (ingest
+        discards them), so dropping that tag's slot empties the past.
         """
         if not self.round_ready():
             raise ProtocolError(f"node {self.id} not ready for round {self.round}")
@@ -105,20 +107,19 @@ class NodeState:
                 f"node {self.id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * self.f + 1}"
             )
         tag = self.round - 1
-        arrivals = list(self.buffer[tag].items())[: self.expected_count]
-        arrivals.sort(key=lambda sv: (sv[1], sv[0]))
+        arrivals = [(w, s) for s, w in islice(self.buffer[tag].items(), self.expected_count)]
+        arrivals.sort()
         kept = arrivals[self.f : len(arrivals) - self.f]
         if not kept:
             raise ProtocolError(
                 f"node {self.id}: trimming 2f={2 * self.f} values leaves nothing to average"
             )
         total = self.value
-        for _, w in kept:
+        for w, _ in kept:
             total += w
         self.value = total / (len(kept) + 1)
         self.round += 1
-        for old in [t for t in self.buffer if t < self.round - 1]:
-            del self.buffer[old]
+        del self.buffer[tag]
         return self.value
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import heapq
 import json
 import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Callable, Iterable, NamedTuple
 
 from byztrim.digraph import Digraph, parse_graph
 from byztrim.conditions import Partition
@@ -80,6 +80,15 @@ class SimConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        self.check_params()
+
+    def check_params(self) -> None:
+        """Raise ValueError unless the scheduler and byzantine kinds are
+        known and their params are valid (see _scheduler_params and
+        _byzantine_params)."""
+        _scheduler_params(self.scheduler, self.graph.n)
+        if self.byzantine is not None:
+            _byzantine_params(self.byzantine, self.graph.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,9 +110,10 @@ class SimConfig:
     def from_json_dict(cls, d: dict) -> "SimConfig":
         """Build a config from its JSON form.  `graph`, `f`, `inputs` and
         `scheduler` are required (null counts as missing) and unknown fields
-        are rejected; integer
-        fields must be JSON integers (not booleans or floats) and real
-        fields finite numbers.  Anything else raises ValueError."""
+        are rejected; integer fields must be JSON integers (not booleans or
+        floats) and real fields finite numbers.  The scheduler and byzantine
+        kinds must be known and their params valid (check_params).  Anything
+        else raises ValueError."""
         _json_object(d, "config", _CONFIG_FIELDS)
         for name in ("graph", "f", "inputs", "scheduler"):
             if d.get(name) is None:
@@ -111,7 +121,7 @@ class SimConfig:
         sched = _json_spec(d["scheduler"], "scheduler")
         byz = _json_spec(d.get("byzantine"), "byzantine")
         fault_set = _json_list(d.get("fault_set", []), "fault_set")
-        return cls(
+        config = cls(
             graph=parse_graph(d["graph"]),
             f=_json_int(d["f"], "f"),
             fault_set=frozenset(_json_int(v, "fault_set entry") for v in fault_set),
@@ -122,6 +132,8 @@ class SimConfig:
             max_rounds=_json_int(d.get("max_rounds", 1000), "max_rounds"),
             epsilon=_json_real(d.get("epsilon", 0.0), "epsilon"),
         )
+        config.check_params()
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
@@ -176,17 +188,60 @@ def _json_real(value, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class PendingMessage:
-    """An in-flight message; the unique sequence number is its send order."""
+def _json_nodes(value, name: str, n: int | None) -> tuple[int, ...]:
+    """A list of node ids; with `n` given, each must be below it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of node ids, got {value!r}")
+    nodes = tuple(_json_int(v, f"{name} entry") for v in value)
+    for v in nodes:
+        if v < 0 or (n is not None and v >= n):
+            raise ValueError(f"{name} entry {v} is not a node of the graph")
+    return nodes
+
+
+_REAL, _NODES = "real", "nodes"
+_SIDES = {"left": _NODES, "center": _NODES, "right": _NODES}
+
+
+def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int | None) -> dict:
+    """Check a spec's params against its kind's entry in `kinds`, which
+    starts with ({param: _REAL or _NODES}, required params), and return
+    them converted: finite floats and tuples of node ids.  Raises
+    ValueError on an unknown kind, an unknown or missing param, or a value
+    of the wrong type."""
+    try:
+        schema, required = kinds[spec.kind][:2]
+    except KeyError:
+        raise ValueError(f"unknown {what} {spec.kind!r}") from None
+    params = spec.params
+    if not isinstance(params, dict):
+        raise ValueError(f"{what} params must be a JSON object, got {params!r}")
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ValueError(
+            f"{what} {spec.kind!r} has unknown param(s) {', '.join(map(repr, unknown))}"
+        )
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ValueError(f"{what} {spec.kind!r} is missing param(s) {', '.join(map(repr, missing))}")
+    return {
+        name: _json_real(value, f"{what} param {name!r}")
+        if schema[name] == _REAL
+        else _json_nodes(value, f"{what} param {name!r}", n)
+        for name, value in params.items()
+    }
+
+
+class PendingMessage(NamedTuple):
+    """An in-flight message; the unique sequence number is its send order
+    (and, being the first field, orders messages on its own)."""
 
     sequence: int
     destination: int
     message: RoundMessage
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     virtual_time: int
     sender: int
     receiver: int
@@ -237,46 +292,75 @@ def _derived_rng(seed: int, node: int, tag: int) -> random.Random:
     return random.Random(mix)
 
 
-def _split_values(params: dict, node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
-    m, big_m = float(params["m"]), float(params["M"])
-    low = float(params.get("m_minus", m - 1.0))
-    high = float(params.get("M_plus", big_m + 1.0))
+def _split_behavior(p: dict):
+    m, big_m = p["m"], p["M"]
+    low = p.get("m_minus", m - 1.0)
+    high = p.get("M_plus", big_m + 1.0)
     mid = (m + big_m) / 2.0
-    left = set(params.get("left", ()))
-    right = set(params.get("right", ()))
-    out = {}
-    for dest in ctx.out_neighbors:
-        if dest in left:
-            out[dest] = low
-        elif dest in right:
-            out[dest] = high
-        else:
-            out[dest] = mid
-    return out
+    left = set(p.get("left", ()))
+    right = set(p.get("right", ()))
+
+    def values(node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
+        return {
+            dest: low if dest in left else high if dest in right else mid
+            for dest in ctx.out_neighbors
+        }
+
+    return values
 
 
-def _identical_wrong_values(params: dict, node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
-    value = float(params["value"])
-    return {dest: value for dest in ctx.out_neighbors}
+def _identical_wrong_behavior(p: dict):
+    value = p["value"]
+    return lambda node, tag, ctx: {dest: value for dest in ctx.out_neighbors}
 
 
-def _random_values(params: dict, node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
-    low = float(params.get("low", 0.0))
-    high = float(params.get("high", 1.0))
-    rng = _derived_rng(ctx.seed, node, tag)
-    return {dest: rng.uniform(low, high) for dest in ctx.out_neighbors}
+def _random_behavior(p: dict):
+    low = p.get("low", 0.0)
+    high = p.get("high", 1.0)
+
+    def values(node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
+        rng = _derived_rng(ctx.seed, node, tag)
+        return {dest: rng.uniform(low, high) for dest in ctx.out_neighbors}
+
+    return values
 
 
-def _silent_values(params: dict, node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
-    return {}
+def _silent_behavior(p: dict):
+    return lambda node, tag, ctx: {}
 
 
+# kind -> (params and their types, required params, behavior factory)
 _BEHAVIORS = {
-    "split": _split_values,
-    "identical-wrong": _identical_wrong_values,
-    "random": _random_values,
-    "silent": _silent_values,
+    "split": (
+        {"m": _REAL, "M": _REAL, "m_minus": _REAL, "M_plus": _REAL, **_SIDES},
+        ("m", "M"),
+        _split_behavior,
+    ),
+    "identical-wrong": ({"value": _REAL}, ("value",), _identical_wrong_behavior),
+    "random": ({"low": _REAL, "high": _REAL}, (), _random_behavior),
+    "silent": ({}, (), _silent_behavior),
 }
+
+
+def _byzantine_params(spec: ByzantineSpec, n: int | None = None) -> dict:
+    """The checked params of a Byzantine behavior, as finite floats and
+    tuples of node ids (ids below `n` when given).
+
+    "split": `m` and `M` (required), `m_minus` (default m-1), `M_plus`
+    (default M+1), node lists `left`, `center`, `right`.
+    "identical-wrong": `value` (required).  "random": `low` (default 0),
+    `high` (default 1).  "silent": none.  Anything else raises ValueError.
+    """
+    return _spec_params(spec, "byzantine behavior", _BEHAVIORS, n)
+
+
+def _byzantine_behavior(
+    spec: ByzantineSpec, n: int | None = None
+) -> Callable[[int, int, BehaviorContext], dict[int, float]]:
+    """Parse a Byzantine spec once into `values(node, round_tag, context)`,
+    the per-out-edge values a faulty node sends for one round tag."""
+    params = _byzantine_params(spec, n)
+    return _BEHAVIORS[spec.kind][2](params)
 
 
 def byzantine_values(
@@ -288,11 +372,7 @@ def byzantine_values(
     right side, mid-range elsewhere), "identical-wrong" (one arbitrary value
     to all), "random" (seeded uniform draws), "silent" (no messages).
     """
-    try:
-        fn = _BEHAVIORS[behavior.kind]
-    except KeyError:
-        raise ValueError(f"unknown byzantine behavior {behavior.kind!r}") from None
-    return fn(behavior.params, node, round_tag, context)
+    return _byzantine_behavior(behavior)(node, round_tag, context)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +383,13 @@ class RandomScheduler:
     """Uniform out-of-order delivery among all pending messages.
 
     The pool is a list in push order; a pop draws one index uniformly and
-    removes it with list.pop, O(pending) memmove but no Python-level scan."""
+    removes it with list.pop, O(pending) memmove but no Python-level scan.
+    The draw is Random.randrange(len) written out: getrandbits(k) for the
+    bit length k of the bound, redrawn until below it, which yields the
+    same indices from the same generator state."""
 
     def __init__(self, seed: int):
-        self.rng = random.Random(seed)
+        self.getrandbits = random.Random(seed).getrandbits
         self.pool: list[PendingMessage] = []
 
     def __len__(self) -> int:
@@ -316,7 +399,15 @@ class RandomScheduler:
         self.pool.append(pm)
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
-        return self.pool.pop(self.rng.randrange(len(self.pool)))
+        pool, getrandbits = self.pool, self.getrandbits
+        n = len(pool)
+        if not n:
+            raise IndexError("pop from an empty message pool")
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        return pool.pop(i)
 
 
 class FifoScheduler:
@@ -324,10 +415,11 @@ class FifoScheduler:
 
     Each link keeps a deque in sequence order; `heads` lists the non-empty
     links' head sequences in ascending order, and a pop draws one of them
-    uniformly.  O(log links) search plus an O(links) list insert per pop."""
+    uniformly (the same written-out randrange as RandomScheduler).
+    O(log links) search plus an O(links) list insert per pop."""
 
     def __init__(self, seed: int):
-        self.rng = random.Random(seed)
+        self.getrandbits = random.Random(seed).getrandbits
         self.links: defaultdict[tuple[int, int], deque[PendingMessage]] = defaultdict(deque)
         self.heads: list[tuple[int, tuple[int, int]]] = []
 
@@ -342,11 +434,19 @@ class FifoScheduler:
         queue.append(pm)
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
-        _, link = self.heads.pop(self.rng.randrange(len(self.heads)))
+        heads, getrandbits = self.heads, self.getrandbits
+        n = len(heads)
+        if not n:
+            raise IndexError("pop from an empty message pool")
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        link = heads.pop(i)[1]
         queue = self.links[link]
         pm = queue.popleft()
         if queue:
-            bisect.insort(self.heads, (queue[0].sequence, link))
+            bisect.insort(heads, (queue[0].sequence, link))
         return pm
 
 
@@ -363,10 +463,10 @@ class SynchronousScheduler:
         return len(self.heap)
 
     def push(self, pm: PendingMessage) -> None:
-        heapq.heappush(self.heap, (pm.message.tag, pm.sequence, pm))
+        heappush(self.heap, (pm.message.tag, pm.sequence, pm))
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
-        return heapq.heappop(self.heap)[2]
+        return heappop(self.heap)[2]
 
 
 class AdaptiveDelayScheduler:
@@ -377,9 +477,10 @@ class AdaptiveDelayScheduler:
     delays stay finite.
 
     Delivery is the lowest sequence among the messages not withheld.  Those
-    sit in a heap keyed by sequence; messages from a receiver's withheld
-    senders sit in that receiver's heap keyed by (tag, sequence) and move
-    to the released heap once the receiver's round exceeds tag + 1.
+    sit in a heap of the messages themselves, which order by their first
+    field, the unique sequence; messages from a receiver's withheld senders
+    sit in that receiver's heap keyed by (tag, sequence) and move to the
+    released heap once the receiver's round exceeds tag + 1.
 
     A receiver's held heap can gain a releasable message only when it is
     pushed to or when its round rises.  The event loop raises a round only
@@ -401,7 +502,7 @@ class AdaptiveDelayScheduler:
         self.held: dict[int, list[tuple[int, int, PendingMessage]]] = {
             v: [] for v, senders in self.withheld.items() if senders
         }
-        self.released: list[tuple[int, PendingMessage]] = []
+        self.released: list[PendingMessage] = []
         self.stale: set[int] = set(self.held)
 
     def __len__(self) -> int:
@@ -410,10 +511,10 @@ class AdaptiveDelayScheduler:
     def push(self, pm: PendingMessage) -> None:
         senders = self.withheld.get(pm.destination)
         if senders and pm.message.sender in senders:
-            heapq.heappush(self.held[pm.destination], (pm.message.tag, pm.sequence, pm))
+            heappush(self.held[pm.destination], (pm.message.tag, pm.sequence, pm))
             self.stale.add(pm.destination)
         else:
-            heapq.heappush(self.released, (pm.sequence, pm))
+            heappush(self.released, pm)
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
         released, held = self.released, self.held
@@ -421,31 +522,45 @@ class AdaptiveDelayScheduler:
             heap = held[v]
             # Held while the receiver could still use the tag (round <= tag+1).
             while heap and rounds[v] > heap[0][0] + 1:
-                _, seq, pm = heapq.heappop(heap)
-                heapq.heappush(released, (seq, pm))
+                heappush(released, heappop(heap)[2])
         if not released:
             raise SimulationError("scheduler deadlock: every pending message is withheld")
         self.stale.clear()
-        pm = heapq.heappop(released)[1]
+        pm = heappop(released)
         if pm.destination in held:
             self.stale.add(pm.destination)
         return pm
 
 
+# kind -> ({param: type}, required params)
+_SCHEDULERS = {
+    "random": ({}, ()),
+    "fifo": ({}, ()),
+    "synchronous": ({}, ()),
+    "adaptive-delay": (_SIDES, ()),
+}
+
+
+def _scheduler_params(spec: SchedulerSpec, n: int | None = None) -> dict:
+    """The checked params of a scheduler: "adaptive-delay" takes the node
+    lists `left`, `center` and `right` (ids below `n` when given, each
+    default empty); "random", "fifo" and "synchronous" take none.  Anything
+    else raises ValueError."""
+    return _spec_params(spec, "scheduler", _SCHEDULERS, n)
+
+
 def make_scheduler(config: SimConfig):
     spec = config.scheduler
+    p = _scheduler_params(spec, config.graph.n)
     if spec.kind == "random":
         return RandomScheduler(config.seed)
     if spec.kind == "fifo":
         return FifoScheduler(config.seed)
     if spec.kind == "synchronous":
         return SynchronousScheduler()
-    if spec.kind == "adaptive-delay":
-        p = spec.params
-        return AdaptiveDelayScheduler(
-            config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
-        )
-    raise ValueError(f"unknown scheduler {spec.kind!r}")
+    return AdaptiveDelayScheduler(
+        config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +570,19 @@ def make_scheduler(config: SimConfig):
 def run_simulation(config: SimConfig) -> Trace:
     """Drive every node's transmit/receive/update cycle under the configured
     scheduler until the fault-free spread falls to epsilon or every
-    fault-free node completes max_rounds."""
+    fault-free node completes max_rounds.
+
+    A node is ready once it holds enough messages tagged with the round it
+    waits on, and after process_ready it is not ready (or can no longer
+    advance).  A delivery therefore runs process_ready only when the
+    receiver stored a message of exactly that tag: a stale, duplicate or
+    early message leaves readiness unchanged."""
     config.validate()
     g, f = config.graph, config.f
+    faulty = config.fault_set
+    max_rounds, epsilon = config.max_rounds, config.epsilon
     require_all = config.scheduler.kind == "synchronous"
-    fault_free = [v for v in g.nodes if v not in config.fault_set]
+    fault_free = [v for v in g.nodes if v not in faulty]
     states: dict[int, NodeState] = {
         v: init_node(v, config.inputs[v], g, f, require_all=require_all) for v in g.nodes
     }
@@ -468,18 +591,19 @@ def run_simulation(config: SimConfig) -> Trace:
     deliveries: list[Delivery] = []
     scheduler = make_scheduler(config)
     push, pop = scheduler.push, scheduler.pop
+    behavior = _byzantine_behavior(config.byzantine, g.n) if faulty else None
+    contexts = {v: BehaviorContext(states[v].out_nbrs, config.seed) for v in faulty}
     seq = 0  # messages sent; seq - vt of them are pending
     vt = 0
 
     def emit(v: int) -> None:
         nonlocal seq
         st = states[v]
-        if v in config.fault_set:
-            ctx = BehaviorContext(st.out_nbrs, config.seed)
-            assert config.byzantine is not None
-            per_dest = byzantine_values(config.byzantine, v, st.round - 1, ctx)
+        if v in faulty:
+            tag = st.round - 1
+            per_dest = behavior(v, tag, contexts[v])
             outgoing = [
-                (dest, RoundMessage(v, st.round - 1, per_dest[dest]))
+                (dest, RoundMessage(v, tag, per_dest[dest]))
                 for dest in st.out_nbrs
                 if dest in per_dest
             ]
@@ -493,40 +617,41 @@ def run_simulation(config: SimConfig) -> Trace:
     mu_levels = [min(values[v][0] for v in fault_free)]
     outcome: str | None = None
     converged_round: int | None = None
-    if u_levels[0] - mu_levels[0] <= config.epsilon:
+    if u_levels[0] - mu_levels[0] <= epsilon:
         outcome, converged_round = "converged", 0
+    # completed[t]: fault-free nodes that have completed round t.  Rounds
+    # complete in order, so the common rounds grow to t exactly when
+    # completed[t] reaches len(fault_free).
+    completed = [len(fault_free)]
 
-    def advance_common_metrics() -> None:
+    def complete_round(t: int) -> None:
         nonlocal outcome, converged_round
-        common = min(len(values[v]) - 1 for v in fault_free)
-        while len(u_levels) - 1 < common and outcome is None:
-            t = len(u_levels)
+        if t == len(completed):
+            completed.append(1)
+        else:
+            completed[t] += 1
+        if completed[t] == len(fault_free):
             u_levels.append(max(values[v][t] for v in fault_free))
             mu_levels.append(min(values[v][t] for v in fault_free))
-            if u_levels[t] - mu_levels[t] <= config.epsilon:
+            if u_levels[t] - mu_levels[t] <= epsilon:
                 outcome, converged_round = "converged", t
-            elif t >= config.max_rounds:
+            elif t >= max_rounds:
                 outcome = "max-rounds-hit"
-
-    def advance_faulty(st: NodeState) -> None:
-        # Faulty nodes only pace rounds; their internal value is never used
-        # (outgoing values come from the behavior), so no update rule runs.
-        st.round += 1
-        for old in [t for t in st.buffer if t < st.round - 1]:
-            del st.buffer[old]
 
     def process_ready(v: int) -> None:
         st = states[v]
-        while outcome is None and st.round <= config.max_rounds and st.round_ready():
-            if v in config.fault_set:
-                advance_faulty(st)
+        while outcome is None and st.round <= max_rounds and st.round_ready():
+            if v in faulty:
+                # Faulty nodes only pace rounds; their internal value is
+                # never used (outgoing values come from the behavior), so no
+                # update rule runs.  Only the tag just used can fall behind.
+                st.round += 1
+                st.buffer.pop(st.round - 2, None)
             else:
-                st.apply_update()
+                values[v].append(st.apply_update())
+                complete_round(st.round - 1)
             rounds[v] = st.round
-            if v not in config.fault_set:
-                values[v].append(st.value)
-                advance_common_metrics()
-            if outcome is None and st.round <= config.max_rounds:
+            if outcome is None and st.round <= max_rounds:
                 emit(v)
 
     if outcome is None:
@@ -535,16 +660,16 @@ def run_simulation(config: SimConfig) -> Trace:
         for v in sorted(g.nodes):
             process_ready(v)
 
+    record = deliveries.append
     while outcome is None:
         if vt == seq:
             raise SimulationError("no pending messages but the run is not finished")
-        pm = pop(rounds)
+        _, dest, msg = pop(rounds)
         vt += 1
-        deliveries.append(
-            Delivery(vt, pm.message.sender, pm.destination, pm.message.tag, pm.message.value)
-        )
-        states[pm.destination].ingest_message(pm.message)
-        process_ready(pm.destination)
+        record(Delivery(vt, msg.sender, dest, msg.tag, msg.value))
+        st = states[dest]
+        if st.ingest_message(msg) and msg.tag == st.round - 1:
+            process_ready(dest)
 
     return Trace(
         config=config,

@@ -3,7 +3,9 @@
 Everything here favours obviousness over speed: explicit set arithmetic,
 full itertools enumeration (no bitmasks, no minimal-reduction shortcut)
 and networkx for the SCC work.  Only call these on tiny graphs.  The
-scheduler selectors scan every pending message on each delivery.
+scheduler selectors scan every pending message on each delivery, and
+naive_run_simulation is the event loop as it was before its per-message
+shortcuts, with its own copy of the node update rule.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import networkx as nx
 
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
-from byztrim.simnet import PendingMessage, SimulationError
+from byztrim.protocol import ProtocolError, RoundMessage
+from byztrim.simnet import Delivery, PendingMessage, SimConfig, SimulationError, Trace
 
 
 def naive_reaches(g: Digraph, a: set[int], b: set[int], r: int) -> bool:
@@ -217,3 +220,226 @@ class NaiveAdaptiveDelaySelector:
         if best < 0:
             raise SimulationError("scheduler deadlock: every pending message is withheld")
         return best
+
+
+def naive_withheld(g: Digraph, f: int, left, center, right) -> dict[int, frozenset[int]]:
+    """The adaptive adversary's starved senders per side node: the first
+    min(f, |cross|) cross-side in-neighbours in id order."""
+    left, center, right = set(left), set(center), set(right)
+    withheld = {}
+    for v in sorted(left):
+        cross = sorted(g.in_nbrs[v] & (center | right))
+        withheld[v] = frozenset(cross[: min(f, len(cross))])
+    for v in sorted(right):
+        cross = sorted(g.in_nbrs[v] & (left | center))
+        withheld[v] = frozenset(cross[: min(f, len(cross))])
+    return withheld
+
+
+# ---------------------------------------------------------------------------
+# Naive event loop: a pending list scanned by the selectors above, a
+# readiness check after every delivery, the common round taken as a minimum
+# over the fault-free nodes on every update, and Byzantine params read on
+# every emit.
+
+
+class NaiveNode:
+    """A consensus node: first value per (sender, tag) buffered, tags below
+    the round in progress discarded, the update sorting the first
+    `expected_count` arrivals by (value, sender), trimming f from each end
+    and averaging the rest with the own value."""
+
+    def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool):
+        self.id = node_id
+        self.value = float(value)
+        self.round = 1
+        self.f = f
+        self.in_nbrs = g.in_nbrs[node_id]
+        self.out_nbrs = tuple(sorted(g.out_nbrs[node_id]))
+        self.require_all = require_all
+        self.buffer: dict[int, dict[int, float]] = {}
+
+    @property
+    def expected_count(self) -> int:
+        if self.require_all:
+            return len(self.in_nbrs)
+        return len(self.in_nbrs) - self.f
+
+    def outgoing_messages(self) -> list[tuple[int, RoundMessage]]:
+        msg = RoundMessage(self.id, self.round - 1, self.value)
+        return [(dest, msg) for dest in self.out_nbrs]
+
+    def ingest_message(self, m: RoundMessage) -> bool:
+        if m.sender not in self.in_nbrs:
+            raise ProtocolError(f"node {self.id} got message from non-neighbour {m.sender}")
+        if m.tag < self.round - 1:
+            return False
+        slot = self.buffer.setdefault(m.tag, {})
+        if m.sender in slot:
+            return False
+        slot[m.sender] = m.value
+        return True
+
+    def round_ready(self) -> bool:
+        return len(self.buffer.get(self.round - 1, ())) >= self.expected_count
+
+    def apply_update(self) -> float:
+        if not self.round_ready():
+            raise ProtocolError(f"node {self.id} not ready for round {self.round}")
+        if self.f > 0 and not self.require_all and len(self.in_nbrs) < 3 * self.f + 1:
+            raise ProtocolError(
+                f"node {self.id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * self.f + 1}"
+            )
+        tag = self.round - 1
+        arrivals = list(self.buffer[tag].items())[: self.expected_count]
+        arrivals.sort(key=lambda sv: (sv[1], sv[0]))
+        kept = arrivals[self.f : len(arrivals) - self.f]
+        if not kept:
+            raise ProtocolError(
+                f"node {self.id}: trimming 2f={2 * self.f} values leaves nothing to average"
+            )
+        total = self.value
+        for _, w in kept:
+            total += w
+        self.value = total / (len(kept) + 1)
+        self.round += 1
+        for old in [t for t in self.buffer if t < self.round - 1]:
+            del self.buffer[old]
+        return self.value
+
+
+def _naive_derived_rng(seed: int, node: int, tag: int) -> random.Random:
+    mix = (
+        seed * 0x9E3779B97F4A7C15 + node * 0xBF58476D1CE4E5B9 + tag * 0x94D049BB133111EB + 1
+    ) & 0xFFFFFFFFFFFFFFFF
+    return random.Random(mix)
+
+
+def naive_byzantine_values(kind: str, params: dict, node: int, tag: int, out_nbrs, seed: int) -> dict[int, float]:
+    if kind == "split":
+        m, big_m = float(params["m"]), float(params["M"])
+        low = float(params.get("m_minus", m - 1.0))
+        high = float(params.get("M_plus", big_m + 1.0))
+        mid = (m + big_m) / 2.0
+        left, right = set(params.get("left", ())), set(params.get("right", ()))
+        return {d: low if d in left else high if d in right else mid for d in out_nbrs}
+    if kind == "identical-wrong":
+        return {d: float(params["value"]) for d in out_nbrs}
+    if kind == "random":
+        rng = _naive_derived_rng(seed, node, tag)
+        low, high = float(params.get("low", 0.0)), float(params.get("high", 1.0))
+        return {d: rng.uniform(low, high) for d in out_nbrs}
+    if kind == "silent":
+        return {}
+    raise ValueError(f"unknown byzantine behavior {kind!r}")
+
+
+def naive_run_simulation(config: SimConfig) -> Trace:
+    """The event loop before its per-message shortcuts, over a pending list
+    and the Naive*Selectors."""
+    config.validate()
+    g, f = config.graph, config.f
+    kind = config.scheduler.kind
+    require_all = kind == "synchronous"
+    fault_free = [v for v in g.nodes if v not in config.fault_set]
+    states = {v: NaiveNode(v, config.inputs[v], g, f, require_all) for v in g.nodes}
+    rounds = {v: states[v].round for v in g.nodes}
+    values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
+    deliveries: list[Delivery] = []
+    if kind == "random":
+        selector = NaiveRandomSelector(config.seed)
+    elif kind == "fifo":
+        selector = NaiveFifoSelector(config.seed)
+    elif kind == "synchronous":
+        selector = NaiveSynchronousSelector()
+    else:
+        p = config.scheduler.params
+        selector = NaiveAdaptiveDelaySelector(
+            naive_withheld(g, f, p.get("left", ()), p.get("center", ()), p.get("right", ()))
+        )
+    pending: list[PendingMessage] = []
+    seq = 0
+    vt = 0
+
+    def emit(v: int) -> None:
+        nonlocal seq
+        st = states[v]
+        if v in config.fault_set:
+            per_dest = naive_byzantine_values(
+                config.byzantine.kind, config.byzantine.params, v, st.round - 1, st.out_nbrs, config.seed
+            )
+            outgoing = [
+                (dest, RoundMessage(v, st.round - 1, per_dest[dest]))
+                for dest in st.out_nbrs
+                if dest in per_dest
+            ]
+        else:
+            outgoing = st.outgoing_messages()
+        for dest, msg in outgoing:
+            pending.append(PendingMessage(seq, dest, msg))
+            seq += 1
+
+    u_levels = [max(values[v][0] for v in fault_free)]
+    mu_levels = [min(values[v][0] for v in fault_free)]
+    outcome = None
+    converged_round = None
+    if u_levels[0] - mu_levels[0] <= config.epsilon:
+        outcome, converged_round = "converged", 0
+
+    def advance_common_metrics() -> None:
+        nonlocal outcome, converged_round
+        common = min(len(values[v]) - 1 for v in fault_free)
+        while len(u_levels) - 1 < common and outcome is None:
+            t = len(u_levels)
+            u_levels.append(max(values[v][t] for v in fault_free))
+            mu_levels.append(min(values[v][t] for v in fault_free))
+            if u_levels[t] - mu_levels[t] <= config.epsilon:
+                outcome, converged_round = "converged", t
+            elif t >= config.max_rounds:
+                outcome = "max-rounds-hit"
+
+    def advance_faulty(st: NaiveNode) -> None:
+        st.round += 1
+        for old in [t for t in st.buffer if t < st.round - 1]:
+            del st.buffer[old]
+
+    def process_ready(v: int) -> None:
+        st = states[v]
+        while outcome is None and st.round <= config.max_rounds and st.round_ready():
+            if v in config.fault_set:
+                advance_faulty(st)
+            else:
+                st.apply_update()
+            rounds[v] = st.round
+            if v not in config.fault_set:
+                values[v].append(st.value)
+                advance_common_metrics()
+            if outcome is None and st.round <= config.max_rounds:
+                emit(v)
+
+    if outcome is None:
+        for v in sorted(g.nodes):
+            emit(v)
+        for v in sorted(g.nodes):
+            process_ready(v)
+
+    while outcome is None:
+        if not pending:
+            raise SimulationError("no pending messages but the run is not finished")
+        pm = pending.pop(selector.select(pending, rounds))
+        vt += 1
+        deliveries.append(
+            Delivery(vt, pm.message.sender, pm.destination, pm.message.tag, pm.message.value)
+        )
+        states[pm.destination].ingest_message(pm.message)
+        process_ready(pm.destination)
+
+    return Trace(
+        config=config,
+        values=values,
+        u_levels=u_levels,
+        mu_levels=mu_levels,
+        deliveries=deliveries,
+        outcome=outcome,
+        converged_round=converged_round,
+    )

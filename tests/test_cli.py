@@ -167,6 +167,35 @@ class TestRunVerify:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"byzantine": {"kind": "split", "params": {}}}, "missing param(s) 'm', 'M'"),
+            (
+                {"scheduler": {"kind": "adaptive-delay", "params": {"left": 3}}},
+                "must be a list of node ids",
+            ),
+            ({"byzantine": {"kind": "random", "params": {"low": float("nan")}}}, "finite number"),
+            ({"byzantine": {"kind": "random", "params": {"lo": 0.0}}}, "unknown param(s) 'lo'"),
+        ],
+    )
+    def test_run_rejects_bad_params(self, tmp_path, k6_file, capsys, edit, message):
+        config = {
+            "graph": json.loads(k6_file.read_text()),
+            "f": 1,
+            "fault_set": [5],
+            "inputs": [0.0, 0.2, 0.4, 0.6, 0.8, 0.5],
+            "scheduler": {"kind": "random"},
+            "byzantine": {"kind": "silent"},
+            **edit,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "trace.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_verify_reports_validity_violation(self, tmp_path, k6_file, capsys):
         # Node 2 leaves the round-0 range [0, 1] in round 1.
         trace_path = tmp_path / "bad.csv"

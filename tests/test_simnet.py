@@ -124,6 +124,48 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             SimConfig.from_json_dict(d)
 
+    @pytest.mark.parametrize(
+        "section, spec, message",
+        [
+            ("byzantine", {"kind": "split", "params": {}}, "missing param\\(s\\) 'm', 'M'"),
+            ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "mid": 0.5}}, "unknown param\\(s\\) 'mid'"),
+            ("byzantine", {"kind": "split", "params": {"m": 0, "M": "1"}}, "'M' must be a finite number"),
+            ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "left": [0.0]}}, "'left' entry must be an integer"),
+            ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "right": [6]}}, "entry 6 is not a node"),
+            ("byzantine", {"kind": "identical-wrong", "params": {}}, "missing param\\(s\\) 'value'"),
+            ("byzantine", {"kind": "identical-wrong", "params": {"value": float("inf")}}, "finite number"),
+            ("byzantine", {"kind": "random", "params": {"low": float("nan")}}, "'low' must be a finite number"),
+            ("byzantine", {"kind": "random", "params": {"high": True}}, "'high' must be a finite number"),
+            ("byzantine", {"kind": "silent", "params": {"value": 1.0}}, "unknown param\\(s\\) 'value'"),
+            ("byzantine", {"kind": "gaslight"}, "unknown byzantine behavior 'gaslight'"),
+            ("scheduler", {"kind": "adaptive-delay", "params": {"left": 3}}, "must be a list of node ids"),
+            ("scheduler", {"kind": "adaptive-delay", "params": {"right": [True]}}, "'right' entry must be an integer"),
+            ("scheduler", {"kind": "adaptive-delay", "params": {"center": [-1]}}, "entry -1 is not a node"),
+            ("scheduler", {"kind": "adaptive-delay", "params": {"middle": []}}, "unknown param\\(s\\) 'middle'"),
+            ("scheduler", {"kind": "random", "params": {"seed": 3}}, "unknown param\\(s\\) 'seed'"),
+            ("scheduler", {"kind": "psychic"}, "unknown scheduler 'psychic'"),
+        ],
+    )
+    def test_json_rejects_bad_params(self, section, spec, message):
+        d = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("silent")).to_json_dict()
+        d[section] = spec
+        with pytest.raises(ValueError, match=message):
+            SimConfig.from_json(json.dumps(d))
+
+    def test_bad_params_rejected_before_a_run(self):
+        cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("split", {"m": 0.0}))
+        with pytest.raises(ValueError, match="missing param\\(s\\) 'M'"):
+            run_simulation(cfg)
+        cfg = k6_config(scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 9]}))
+        with pytest.raises(ValueError, match="entry 9 is not a node"):
+            run_simulation(cfg)
+
+    def test_attack_config_roundtrips(self, k5):
+        w = check_partition_condition(k5, 1, "async").witness
+        cfg = build_attack_config(k5, 1, w, 0.0, 1.0, max_rounds=20)
+        assert "center" in cfg.byzantine.params
+        assert SimConfig.from_json(cfg.to_json()) == cfg
+
     def test_json_rejects_non_object(self):
         with pytest.raises(ValueError, match="config must be a JSON object"):
             SimConfig.from_json("[1, 2]")
@@ -446,6 +488,109 @@ class TestGoldenDeliveryLog:
         assert len(trace.deliveries) == deliveries
         blob = repr(trace.deliveries).encode() + out.read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestInlinedDraw:
+    """RandomScheduler and FifoScheduler draw their index with getrandbits
+    written out; it must pick what Random(seed).randrange(n) picks, for
+    every n, powers of two and their neighbours included."""
+
+    @staticmethod
+    def _messages(count: int) -> list[PendingMessage]:
+        # One message per link, so every message is a fifo link head.
+        return [PendingMessage(i, count + i, RoundMessage(i, 0, float(i))) for i in range(count)]
+
+    @pytest.mark.parametrize("kind", ["random", "fifo"])
+    def test_pops_follow_randrange(self, kind):
+        for seed in range(120):
+            count = 300 if seed < 100 else 4100  # every n up to 300; then 4096 and 4097
+            pool = RandomScheduler(seed) if kind == "random" else FifoScheduler(seed)
+            expected = self._messages(count)
+            for pm in expected:
+                pool.push(pm)
+            ref = random.Random(seed)
+            while len(expected) > (0 if count == 300 else 4090):
+                assert pool.pop({}) == expected.pop(ref.randrange(len(expected)))
+            assert len(pool) == len(expected)
+
+    @pytest.mark.parametrize("kind", ["random", "fifo"])
+    def test_empty_pool_pop_raises(self, kind):
+        pool = RandomScheduler(1) if kind == "random" else FifoScheduler(1)
+        with pytest.raises(IndexError):
+            pool.pop({})
+
+
+@st.composite
+def _sim_config(draw) -> SimConfig:
+    """A small run: every in-degree at least 3f+1, any scheduler (adaptive
+    sides drawn at random), any Byzantine kind, inputs with ties."""
+    f = draw(st.sampled_from([0, 1, 1, 2]))
+    n = draw(st.integers(3 * f + 2, 3 * f + 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = []
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        edges += [(u, v) for u in rng.sample(others, rng.randint(3 * f + 1, n - 1))]
+    g = Digraph(n, edges)
+    sides = {"left": [], "center": [], "right": []}
+    for v in range(n):
+        sides[rng.choice(("left", "left", "center", "right", "right"))].append(v)
+    byz_kind = draw(st.sampled_from(["split", "identical-wrong", "random", "silent"]))
+    if byz_kind == "split":
+        params = {"m": 0.0, "M": 1.0, "left": sides["left"], "right": sides["right"]}
+        if rng.random() < 0.5:
+            params.update(m_minus=-2.5, M_plus=3.0, center=sides["center"])
+    elif byz_kind == "identical-wrong":
+        params = {"value": rng.uniform(-1.0, 2.0)}
+    elif byz_kind == "random":
+        params = {"low": -1.0, "high": 2.0} if rng.random() < 0.5 else {}
+    else:
+        params = {}
+    sched = draw(st.sampled_from(["random", "fifo", "synchronous", "adaptive-delay"]))
+    levels = (0.0, 0.25, 0.5, 1.0)
+    return SimConfig(
+        graph=g,
+        f=f,
+        fault_set=frozenset(rng.sample(range(n), rng.randint(1, f) if f and rng.random() < 0.8 else 0)),
+        inputs=tuple(rng.choice(levels) if rng.random() < 0.3 else rng.random() for _ in range(n)),
+        scheduler=SchedulerSpec(sched, dict(sides) if sched == "adaptive-delay" else {}),
+        byzantine=ByzantineSpec(byz_kind, params),
+        seed=draw(st.integers(0, 99)),
+        max_rounds=draw(st.integers(1, 12)),
+        epsilon=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+    )
+
+
+def _run_result(run, config: SimConfig):
+    try:
+        trace = run(config)
+    except SimulationError as exc:
+        return ("SimulationError", str(exc))
+    return (
+        trace.values,
+        trace.u_levels,
+        trace.mu_levels,
+        trace.outcome,
+        trace.converged_round,
+        trace.deliveries,
+    )
+
+
+class TestEventLoopOracle:
+    """run_simulation against oracles.naive_run_simulation, the event loop
+    before the readiness shortcut, the round counter, the parsed Byzantine
+    params and the native-order update sort: same values, levels, outcome,
+    converged round and delivery log, or the same SimulationError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_sim_config())
+    def test_matches_naive_event_loop(self, config):
+        assert _run_result(run_simulation, config) == _run_result(oracles.naive_run_simulation, config)
+
+    @pytest.mark.parametrize("kind", sorted(TestGoldenDeliveryLog.GOLDEN))
+    def test_golden_configs_match(self, kind):
+        config = _golden_config(kind)
+        assert _run_result(run_simulation, config) == _run_result(oracles.naive_run_simulation, config)
 
 
 @st.composite
