@@ -8,6 +8,12 @@ The reduced-graph rows compare the pure incremental sweep with the compiled
 twin, which runs a search from every survivor for each reduction; both
 inspect the same reductions in the same order.
 
+The partition scaling rows run the asynchronous partition check once, at
+its default budget, on complete graphs K12..K24 (f=2 and 3), where every
+node is a twin of every other, and on twin-free random graphs with
+p = 0.9, n = 12..16 (f=2).  Each prints the verdict, the search nodes
+visited (`examined`) and the seconds taken.
+
 The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
 graphs (f=1, one `random` Byzantine node, fixed round counts), and the
@@ -182,6 +188,27 @@ def simulator_rows(repeat: int) -> None:
         print(f"{name:44s} {count:10d} {rate:10.0f}")
 
 
+def partition_scaling_rows() -> None:
+    header = f"{'partition check, async':44s} {'verdict':>16s} {'examined':>10s} {'seconds':>8s}"
+    print(header)
+    print("-" * len(header))
+    rows = [
+        (f"K{n} f={f}", generate_graph("complete", {"n": n}), f)
+        for n in (12, 16, 20, 24)
+        for f in (2, 3)
+    ]
+    rows += [
+        (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2)
+        for n in range(12, 17)
+    ]
+    for name, g, f in rows:
+        start = time.perf_counter()
+        report = check_partition_condition(g, f, ASYNC)
+        seconds = time.perf_counter() - start
+        print(f"{name:44s} {report.verdict:>16s} {report.examined:10d} {seconds:8.3f}")
+    print()
+
+
 def kernel_rows(repeat: int) -> None:
     if native is None:
         print("compiled kernel not available; showing pure timings only")
@@ -204,6 +231,7 @@ def main() -> int:
     args = parser.parse_args()
 
     kernel_rows(args.repeat)
+    partition_scaling_rows()
     protocol_rows(args.repeat)
     simulator_rows(args.repeat)
     return 0

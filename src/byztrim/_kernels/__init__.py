@@ -3,8 +3,8 @@
 Set BYZTRIM_PURE=1 to force the pure-Python kernels (used by the benchmark
 and to exercise the fallback in tests).  The partition search runs the
 pruned pure-Python search on every backend: it carries the visit budget,
-and it overtakes the compiled exhaustive enumeration from about n = 13.
-Only the reduced-graph search uses the extension.
+and its cuts visit a small part of what the compiled exhaustive
+enumeration visits.  Only the reduced-graph search uses the extension.
 """
 
 from __future__ import annotations

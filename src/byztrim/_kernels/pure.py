@@ -16,6 +16,12 @@ part of the contract:
 * L/C/R assignments in the order of base-3 counters over the surviving
   nodes in node order (most significant digit = smallest node id; digit
   0=L, 1=C, 2=R), so the first violating partition is the canonical one;
+* within each twin class (nodes any two of which can be swapped without
+  changing the graph) the partition search visits only fault sets that are
+  a prefix of the class, and only digits that never decrease in node order
+  over the class's survivors.  The canonical first violating partition has
+  both properties, since a swap would otherwise give an earlier one, so
+  the rule changes what is visited, never what is found;
 * per-node in-edge removals in lexicographic combination order, with the
   last surviving node varying fastest.
 """
@@ -43,6 +49,38 @@ def _fault_masks(n: int, f: int) -> list[int]:
     return masks
 
 
+def _twin_predecessors(n: int, in_masks: tuple[int, ...], out_masks: list[int]) -> list[int]:
+    """Per node, the bit of the member before it in its twin class, or 0.
+
+    Nodes a < b are twins when swapping them is an automorphism: the same
+    in- and out-neighbours apart from each other, and a->b iff b->a.
+    Twinness is transitive (swapping a, c is swapping a, b conjugated by
+    swapping b, c), so each node joins the class of the first earlier node
+    it is a twin of, and every transposition inside a class is an
+    automorphism.
+    """
+
+    def twins(a: int, b: int) -> bool:
+        ab, bb = 1 << a, 1 << b
+        return (
+            in_masks[a] & ~bb == in_masks[b] & ~ab
+            and out_masks[a] & ~bb == out_masks[b] & ~ab
+            and (in_masks[b] >> a & 1) == (in_masks[a] >> b & 1)
+        )
+
+    pred = [0] * n
+    classes: list[list[int]] = []
+    for b in range(n):
+        for members in classes:
+            if twins(members[0], b):
+                pred[b] = 1 << members[-1]
+                members.append(b)
+                break
+        else:
+            classes.append([b])
+    return pred
+
+
 def violating_partition(
     n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
 ) -> tuple[int, int, tuple[int, int, int, int] | None]:
@@ -57,8 +95,16 @@ def violating_partition(
     in-neighbours in L|C: counts only grow as nodes are placed, so no
     violating partition lies below.  An R placement while L is still empty
     is cut too: the L/R mirror of any partition below it violates equally
-    and comes first in canonical order.  Neither cut can skip the first
-    violating partition.
+    and comes first in canonical order.
+
+    Twin classes (see _twin_predecessors) cut the rest.  A swap of twins
+    maps a violating partition to one that violates equally, with the same
+    |F|.  So the search skips every fault set that is not a prefix of each
+    twin class (the swap gives an earlier one), and within each class's
+    survivors it places digits that never decrease in node order: a node
+    skips L after a twin placed in C and goes to R after a twin placed in
+    R.  No cut can skip the first violating partition, since each removes
+    only partitions with an equally violating partition earlier.
 
     Every placement tried is one examined search node; expanding a node
     tries all its placements at once.  Returns (status, examined, witness)
@@ -70,6 +116,7 @@ def violating_partition(
     for v in range(n):
         for u in _bits(in_masks[v]):
             out_masks[u] |= 1 << v
+    pred = _twin_predecessors(n, in_masks, out_masks)
 
     def reached(nodes: int, within: int) -> bool:
         # Does some node of `nodes` have >= r in-neighbours in `within`?
@@ -82,8 +129,16 @@ def violating_partition(
 
     examined = 0
     for f_mask in _fault_masks(n, f):
-        rest = [v for v in range(n) if not (f_mask >> v) & 1]
-        last = len(rest)
+        if any(pred[v] & ~f_mask for v in _bits(f_mask)):
+            continue
+        # Per survivor: its bit, in- and out-masks, and the bit of its
+        # previous surviving twin (0 if none).
+        nodes = [
+            (1 << v, in_masks[v], out_masks[v], pred[v] & ~f_mask)
+            for v in range(n)
+            if not f_mask >> v & 1
+        ]
+        last = len(nodes)
         if last < 2:
             continue
         # Entries (next index, L, C, R); children are pushed R, C, L so that
@@ -96,19 +151,24 @@ def violating_partition(
                 if lm and rm:
                     return (FAIL, examined, (f_mask, lm, cm, rm))
                 continue
-            v = rest[i]
-            bit = 1 << v
-            ins = in_masks[v]
-            outs = out_masks[v]
+            bit, ins, outs, twin = nodes[i]
             i += 1
-            examined += 3 if lm else 2
+            # The lowest digit this node may take (L=0, C=1, R=2).
+            low = 0
+            if twin and twin & (cm | rm):
+                low = 2 if twin & rm else 1
+            examined += (3 if lm else 2) - low
             if examined > budget:
                 return (BUDGET_EXCEEDED, budget + 1, None)
             if lm and (ins & (lm | cm)).bit_count() < r and not reached(outs & lm, cm | rm | bit):
                 stack.append((i, lm, cm, rm | bit))
-            if not reached(outs & lm, cm | rm | bit) and not reached(outs & rm, lm | cm | bit):
+            if (
+                low < 2
+                and not reached(outs & lm, cm | rm | bit)
+                and not reached(outs & rm, lm | cm | bit)
+            ):
                 stack.append((i, lm, cm | bit, rm))
-            if (ins & (cm | rm)).bit_count() < r and not reached(outs & rm, lm | cm | bit):
+            if not low and (ins & (cm | rm)).bit_count() < r and not reached(outs & rm, lm | cm | bit):
                 stack.append((i, lm | bit, cm, rm))
     return (PASS, examined, None)
 

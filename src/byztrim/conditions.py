@@ -13,9 +13,13 @@ against f Byzantine nodes, in two equivalent forms:
 Verdicts come with machine-checkable witnesses.  Both searches are
 exponential in the worst case and bounded by a budget; past it the verdict
 is "budget-exceeded".  The partition search is a depth-first search that
-cuts a branch as soon as a placed L or R node is reached at the threshold
-(dense graphs with n = 14 and f = 2 take about half a second); its report's
-`examined` counts the search nodes it visited.  The reduced-graph search
+cuts a branch as soon as a placed L or R node is reached at the threshold,
+and uses twin nodes (pairs whose swap leaves the graph unchanged) to skip
+fault sets and placements that a swap maps to an earlier one.  Complete and
+clustered graphs, which are rich in twins, are decided up to n = 24 in
+milliseconds; twin-free dense graphs with n = 14 and f = 2 take about half
+a second.  Its report's `examined` counts the search nodes it visited.
+The reduced-graph search
 inspects every minimal reduction and is meant for small instances (K8 with
 f = 1 already exceeds its default budget); its `examined` counts the
 reductions it inspected.  It chooses the kept in-edges node by node and
@@ -277,7 +281,8 @@ def check_partition_condition(
     partition starves both L and R at the mode's threshold.
 
     The search skips only branches that cannot hold a violating partition,
-    so verdict and witness are those of the full enumeration.  `examined`
+    or whose violating partitions a swap of twin nodes maps to an earlier
+    one, so verdict and witness are those of the full enumeration.  `examined`
     is the number of search nodes visited; once it exceeds `budget` the
     verdict is "budget-exceeded" with examined == budget + 1.
     """

@@ -97,8 +97,9 @@ class NodeState:
         Exactly `expected_count` buffered values are used (first arrivals
         win); they are sorted by (value, sender id), the f smallest and f
         largest dropped, and the rest averaged with the own value at weight
-        1/(kept+1).  Tags below the one used are never buffered (ingest
-        discards them), so dropping that tag's slot empties the past.
+        1/(kept+1).  A node without in-neighbours keeps its value.  Tags
+        below the one used are never buffered (ingest discards them), so
+        dropping that tag's slot empties the past.
         """
         if not self.round_ready():
             raise ProtocolError(f"node {self.id} not ready for round {self.round}")
@@ -106,6 +107,11 @@ class NodeState:
             raise ProtocolError(
                 f"node {self.id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * self.f + 1}"
             )
+        if not self.in_nbrs:
+            # Nothing ever arrives (possible only with f = 0 or in lockstep):
+            # the node averages its own value alone, so it keeps it.
+            self.round += 1
+            return self.value
         tag = self.round - 1
         arrivals = [(w, s) for s, w in islice(self.buffer[tag].items(), self.expected_count)]
         arrivals.sort()

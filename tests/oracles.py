@@ -5,7 +5,10 @@ full itertools enumeration (no bitmasks, no minimal-reduction shortcut)
 and networkx for the SCC work.  Only call these on tiny graphs.  The
 scheduler selectors scan every pending message on each delivery, and
 naive_run_simulation is the event loop as it was before its per-message
-shortcuts, with its own copy of the node update rule.
+shortcuts, with its own copy of the node update rule.  Two partition
+oracles reach past tiny graphs: reference_violating_partition is the
+pruned search without its twin cut, and milp_partition_verdict decides the
+condition with scipy's MILP solver.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 
 import networkx as nx
 
+from byztrim._kernels.pure import BUDGET_EXCEEDED, FAIL, PASS, _bits, _fault_masks
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
 from byztrim.protocol import ProtocolError, RoundMessage
@@ -58,8 +62,140 @@ def naive_violating_partition(g: Digraph, f: int, r: int) -> Partition | None:
     return None
 
 
+def reference_violating_partition(
+    n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
+) -> tuple[int, int, tuple[int, int, int, int] | None]:
+    """The partition search before its twin cut, kept verbatim as the
+    reference for the kernel at sizes the naive enumeration cannot reach.
+
+    First partition (F, L, C, R) with |F| <= f, L and R non-empty, where
+    no node of L has >= r in-neighbours in C|R and no node of R has >= r
+    in-neighbours in L|C.
+
+    Depth-first search: per fault set, the surviving nodes are placed in id
+    order, each trying L, C, then R, so complete assignments are reached in
+    the canonical base-3 order.  A placement is cut as soon as a placed L
+    node has r placed in-neighbours in C|R, or a placed R node has r placed
+    in-neighbours in L|C: counts only grow as nodes are placed, so no
+    violating partition lies below.  An R placement while L is still empty
+    is cut too: the L/R mirror of any partition below it violates equally
+    and comes first in canonical order.  Neither cut can skip the first
+    violating partition.
+
+    Every placement tried is one examined search node; expanding a node
+    tries all its placements at once.  Returns (status, examined, witness)
+    with witness = (F, L, C, R) bitmasks on FAIL.  Once examined would
+    exceed budget the search stops with BUDGET_EXCEEDED, reporting
+    examined == budget + 1.
+    """
+    out_masks = [0] * n
+    for v in range(n):
+        for u in _bits(in_masks[v]):
+            out_masks[u] |= 1 << v
+
+    def reached(nodes: int, within: int) -> bool:
+        # Does some node of `nodes` have >= r in-neighbours in `within`?
+        while nodes:
+            low = nodes & -nodes
+            if (in_masks[low.bit_length() - 1] & within).bit_count() >= r:
+                return True
+            nodes ^= low
+        return False
+
+    examined = 0
+    for f_mask in _fault_masks(n, f):
+        rest = [v for v in range(n) if not (f_mask >> v) & 1]
+        last = len(rest)
+        if last < 2:
+            continue
+        # Entries (next index, L, C, R); children are pushed R, C, L so that
+        # L is expanded first.  After placing v only v itself and the placed
+        # L/R nodes it feeds can newly reach r.
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            i, lm, cm, rm = stack.pop()
+            if i == last:
+                if lm and rm:
+                    return (FAIL, examined, (f_mask, lm, cm, rm))
+                continue
+            v = rest[i]
+            bit = 1 << v
+            ins = in_masks[v]
+            outs = out_masks[v]
+            i += 1
+            examined += 3 if lm else 2
+            if examined > budget:
+                return (BUDGET_EXCEEDED, budget + 1, None)
+            if lm and (ins & (lm | cm)).bit_count() < r and not reached(outs & lm, cm | rm | bit):
+                stack.append((i, lm, cm, rm | bit))
+            if not reached(outs & lm, cm | rm | bit) and not reached(outs & rm, lm | cm | bit):
+                stack.append((i, lm, cm | bit, rm))
+            if (ins & (cm | rm)).bit_count() < r and not reached(outs & rm, lm | cm | bit):
+                stack.append((i, lm | bit, cm, rm))
+    return (PASS, examined, None)
+
+
 def naive_partition_verdict(g: Digraph, f: int, r: int) -> str:
     return "pass" if naive_violating_partition(g, f, r) is None else "fail"
+
+
+def milp_partition_verdict(g: Digraph, f: int, r: int) -> str:
+    """Partition verdict from a mixed-integer feasibility model, after
+    Usevitch & Panagou's robustness MILP, extended to pick the fault set.
+
+    Binary x_v, y_v, z_v put v in L, R and F.  Constraints: x_v + y_v +
+    z_v <= 1, sum z <= f, sum x >= 1, sum y >= 1, and for each v with
+    in-degree d_v >= r: sum over in-neighbours u of (1 - x_u - z_u) <=
+    r - 1 + (d_v - r + 1)(1 - x_v), the same with y for x.  That is, an L
+    node has at most r - 1 in-neighbours outside L and F; the big-M term
+    d_v - r + 1 is the least that leaves other nodes free, which keeps the
+    relaxation tight.  A node with d_v < r never reaches r, so it has no
+    row.  A feasible point is a violating partition, so the model is
+    feasible iff the condition fails.  Needs scipy; its witness need not be
+    the canonical one, so only the verdict is returned.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = g.n
+    x, y, z = 0, n, 2 * n  # column offsets
+    rows, lower, upper = [], [], []
+
+    def row(entries: dict[int, float], lo: float, hi: float) -> None:
+        a = np.zeros(3 * n)
+        for col, coef in entries.items():
+            a[col] += coef
+        rows.append(a)
+        lower.append(lo)
+        upper.append(hi)
+
+    for v in g.nodes:
+        row({x + v: 1, y + v: 1, z + v: 1}, -np.inf, 1)
+    row({z + v: 1 for v in g.nodes}, -np.inf, f)
+    row({x + v: 1 for v in g.nodes}, 1, np.inf)
+    row({y + v: 1 for v in g.nodes}, 1, np.inf)
+    for v in g.nodes:
+        slack = len(g.in_nbrs[v]) - r + 1
+        if slack <= 0:
+            continue
+        for side in (x, y):
+            # (d - r + 1) side_v - sum over u of (side_u + z_u) <= 0
+            entries = {side + v: slack}
+            for u in g.in_nbrs[v]:
+                entries[side + u] = -1
+                entries[z + u] = -1
+            row(entries, -np.inf, 0)
+    res = milp(
+        c=np.zeros(3 * n),
+        constraints=LinearConstraint(np.array(rows), lower, upper),
+        integrality=np.ones(3 * n),
+        bounds=Bounds(0, 1),
+    )
+    if res.status == 0:
+        return "fail"
+    if res.status == 2:
+        return "pass"
+    raise RuntimeError(f"MILP gave no verdict: {res.message}")
 
 
 def _all_reduced_in_sets(g: Digraph, fs: tuple[int, ...], f: int):
@@ -247,7 +383,8 @@ class NaiveNode:
     """A consensus node: first value per (sender, tag) buffered, tags below
     the round in progress discarded, the update sorting the first
     `expected_count` arrivals by (value, sender), trimming f from each end
-    and averaging the rest with the own value."""
+    and averaging the rest with the own value (alone when the node has no
+    in-neighbours)."""
 
     def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool):
         self.id = node_id
@@ -290,6 +427,10 @@ class NaiveNode:
             raise ProtocolError(
                 f"node {self.id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * self.f + 1}"
             )
+        if not self.in_nbrs:
+            # No in-neighbours: the own value is averaged alone.
+            self.round += 1
+            return self.value
         tag = self.round - 1
         arrivals = list(self.buffer[tag].items())[: self.expected_count]
         arrivals.sort(key=lambda sv: (sv[1], sv[0]))

@@ -63,6 +63,17 @@ class TestCheck:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
+    def test_k16_f3_async_passes(self, tmp_path, capsys):
+        # Decided by the twin cut in about a thousand search nodes; without
+        # the cut the search exceeds its 5 M-node budget.
+        path = tmp_path / "k16.json"
+        assert main(["gen", "--kind", "complete", "--n", "16", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "--f", "3", "--mode", "async"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "pass"
+        assert out["examined"] < 10_000
+
     def test_reduced_graph_oracle(self, k6_file, capsys):
         rc = main(["check", str(k6_file), "--f", "1", "--mode", "sync", "--oracle", "reduced-graph"])
         out = json.loads(capsys.readouterr().out)
@@ -195,6 +206,24 @@ class TestRunVerify:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_run_node_without_in_neighbours_keeps_its_value(self, tmp_path, capsys):
+        # With f = 0 node 0 waits for no message; it averages its own value
+        # alone, so it keeps it.
+        config = {
+            "graph": {"n": 3, "edges": [[0, 1], [1, 2], [2, 1], [0, 2]]},
+            "f": 0,
+            "inputs": [0.0, 0.5, 1.0],
+            "scheduler": {"kind": "random"},
+            "max_rounds": 5,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        trace_path = tmp_path / "trace.csv"
+        assert main(["run", str(cfg_path), "--out", str(trace_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "max-rounds-hit"
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        assert {float(value) for _, node, value in rows if node == "0"} == {0.0}
 
     def test_verify_reports_validity_violation(self, tmp_path, k6_file, capsys):
         # Node 2 leaves the round-0 range [0, 1] in round 1.

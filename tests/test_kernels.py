@@ -5,14 +5,15 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from byztrim import _kernels
 from byztrim._kernels import pure
-from byztrim.conditions import check_partition_condition, threshold
+from byztrim.conditions import DEFAULT_PARTITION_BUDGET, check_partition_condition, threshold
 from byztrim.digraph import Digraph
-from conftest import random_digraph
-from oracles import naive_failing_reduction, naive_violating_partition
+from conftest import TWIN_RICH_FAMILIES, complete, random_digraph
+from oracles import naive_failing_reduction, naive_violating_partition, reference_violating_partition
 
 
 def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
@@ -109,6 +110,71 @@ class TestPartitionSearch:
         status, examined, _ = pure.violating_partition(n, masks, 2, 5, 10**9)
         assert status == pure.PASS
         assert examined < 10**6
+
+
+@st.composite
+def twin_rich_case(draw, sizes):
+    """(graph, f, mode) with the graph drawn from a twin-rich family."""
+    n = draw(sizes)
+    family = draw(st.sampled_from(TWIN_RICH_FAMILIES))
+    g = family(n, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return g, draw(st.integers(0, 2)), draw(st.sampled_from(["sync", "async"]))
+
+
+class TestTwinCut:
+    """The twin cut may skip only partitions with an equally violating one
+    earlier, so verdict and first witness match searches without it."""
+
+    @pytest.mark.parametrize(
+        "n, edges, expect",
+        [
+            (4, [(u, v) for u in range(4) for v in range(4) if u != v], [0, 1, 2, 4]),
+            (2, [(0, 1)], [0, 0]),  # the swap would reverse the edge
+            (3, [(0, 2), (1, 2)], [0, 1, 0]),
+            (4, [(0, 2), (2, 0), (1, 3), (3, 1)], [0, 0, 1, 2]),  # classes {0, 2}, {1, 3}
+            (3, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 1)], [0, 0, 0]),  # 0->2 one way
+        ],
+    )
+    def test_twin_predecessors(self, n, edges, expect):
+        g = Digraph(n, edges)
+        out_masks = [sum(1 << v for v in g.out_nbrs[u]) for u in range(n)]
+        assert pure._twin_predecessors(n, g.in_masks(), out_masks) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(twin_rich_case(st.integers(2, 7)))
+    def test_matches_naive_oracle(self, case):
+        g, f, mode = case
+        report = check_partition_condition(g, f, mode)
+        expect = naive_violating_partition(g, f, threshold(f, mode))
+        assert report.verdict == ("pass" if expect is None else "fail")
+        assert report.witness == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(twin_rich_case(st.integers(8, 11)))
+    def test_matches_reference_search(self, case):
+        g, f, mode = case
+        args = (g.n, g.in_masks(), f, threshold(f, mode), 10**9)
+        status, examined, witness = pure.violating_partition(*args)
+        ref_status, ref_examined, ref_witness = reference_violating_partition(*args)
+        assert (status, witness) == (ref_status, ref_witness)
+        assert examined <= ref_examined
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_complete_graphs_match_reference_search(self, n, f, mode):
+        args = (n, complete(n).in_masks(), f, threshold(f, mode), 10**9)
+        status, _, witness = pure.violating_partition(*args)
+        ref_status, _, ref_witness = reference_violating_partition(*args)
+        assert (status, witness) == (ref_status, ref_witness)
+
+    @pytest.mark.parametrize("n, f", [(16, 3), (20, 3), (24, 4)])
+    def test_complete_graphs_pass_async_within_default_budget(self, n, f):
+        # Without the twin cut each of these exceeds the 5 M-node budget.
+        report = check_partition_condition(complete(n), f, "async")
+        assert report.verdict == "pass"
+        assert report.budget == DEFAULT_PARTITION_BUDGET
+        assert report.examined < 10_000
 
 
 class TestReductionSweep:

@@ -129,6 +129,13 @@ class TestApplyUpdate:
         feed(s, 0, [(1, 0.0), (2, 6.0)])
         assert s.apply_update() == 3.0
 
+    @pytest.mark.parametrize("f, require_all", [(0, False), (0, True), (1, True)])
+    def test_no_in_neighbours_keeps_value(self, f, require_all):
+        s = init_node(1, 0.25, star_in(2), f, require_all=require_all)
+        assert s.round_ready()
+        assert s.apply_update() == 0.25
+        assert s.round == 2
+
     def test_trim_two_each_side(self):
         s = init_node(0, 10.0, star_in(7), 2)
         feed(s, 0, [(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), (5, 5.0)])

@@ -522,15 +522,16 @@ class TestInlinedDraw:
 
 @st.composite
 def _sim_config(draw) -> SimConfig:
-    """A small run: every in-degree at least 3f+1, any scheduler (adaptive
-    sides drawn at random), any Byzantine kind, inputs with ties."""
+    """A small run: every in-degree at least 3f+1 when f > 0 and any, zero
+    included, when f = 0; any scheduler (adaptive sides drawn at random),
+    any Byzantine kind, inputs with ties."""
     f = draw(st.sampled_from([0, 1, 1, 2]))
     n = draw(st.integers(3 * f + 2, 3 * f + 4))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     edges = []
     for v in range(n):
         others = [u for u in range(n) if u != v]
-        edges += [(u, v) for u in rng.sample(others, rng.randint(3 * f + 1, n - 1))]
+        edges += [(u, v) for u in rng.sample(others, rng.randint(3 * f + 1 if f else 0, n - 1))]
     g = Digraph(n, edges)
     sides = {"left": [], "center": [], "right": []}
     for v in range(n):
