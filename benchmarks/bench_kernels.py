@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python condition-check kernels against the compiled
-twin on representative workloads.
+"""Benchmark the condition-check kernels, the protocol update and the
+simulator on representative workloads.
 
-The partition rows compare the pruned depth-first search (pure, the one the
-library runs on every backend) with the compiled exhaustive enumeration.
-The reduced-graph rows compare the pure incremental sweep with the compiled
-twin, which runs a search from every survivor for each reduction; both
-inspect the same reductions in the same order.
+The kernel rows time the pruned depth-first partition search and the
+incremental reduced-graph sweep of `byztrim._kernels`, best of `--repeat`
+runs each.
 
 The partition scaling rows run the asynchronous partition check once, at
 its default budget, on complete graphs K12..K24 (f=2 and 3), where every
@@ -17,7 +15,7 @@ visited (`examined`) and the seconds taken.
 The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
 graphs (f=1, one `random` Byzantine node, fixed round counts), and the
-adaptive-delay attack on K5 (f=1) and K10 (f=2).  They run on any backend.
+adaptive-delay attack on K5 (f=1) and K10 (f=2).
 
 The protocol rows time one `NodeState.apply_update` call (the trim-and-
 average update and the move to the next round) on complete graphs, f=1,
@@ -33,16 +31,10 @@ import argparse
 import random
 import time
 
-from byztrim import simnet
+from byztrim import _kernels, simnet
 from byztrim.protocol import NodeState, RoundMessage
-from byztrim._kernels import pure
 from byztrim.conditions import ASYNC, check_partition_condition
 from byztrim.harness import generate_graph
-
-try:
-    from byztrim._kernels import native
-except ImportError:
-    native = None
 
 
 def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
@@ -57,10 +49,8 @@ def complete_masks(n: int) -> tuple[int, ...]:
     return tuple(full ^ (1 << v) for v in range(n))
 
 
-def partition(impl, n: int, in_masks: tuple[int, ...], f: int, r: int):
-    if impl is pure:
-        return impl.violating_partition(n, in_masks, f, r, 10**9)
-    return impl.violating_partition(n, in_masks, f, r)
+def partition(n: int, in_masks: tuple[int, ...], f: int, r: int):
+    return _kernels.violating_partition(n, in_masks, f, r, 10**9)
 
 
 def workloads():
@@ -68,25 +58,25 @@ def workloads():
     sweep = [random_masks(rng, 5, p) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(50)]
     n9 = generate_graph("random-uniform", {"n": 9, "p": 0.9}, seed=5).in_masks()
 
-    def partition_pass_k6(impl):
-        partition(impl, 6, complete_masks(6), 1, 3)
+    def partition_pass_k6():
+        partition(6, complete_masks(6), 1, 3)
 
-    def partition_pass_n9(impl):
-        partition(impl, 9, n9, 1, 3)
+    def partition_pass_n9():
+        partition(9, n9, 1, 3)
 
-    def partition_pass_k12(impl):
-        partition(impl, 12, complete_masks(12), 2, 5)
+    def partition_pass_k12():
+        partition(12, complete_masks(12), 2, 5)
 
-    def reduction_k6(impl):
-        impl.failing_reduction(6, complete_masks(6), 1, 1, 10**9)
+    def reduction_k6():
+        _kernels.failing_reduction(6, complete_masks(6), 1, 1, 10**9)
 
-    def source_size_k7(impl):
-        impl.failing_reduction(7, complete_masks(7), 1, 2, 10**9)
+    def source_size_k7():
+        _kernels.failing_reduction(7, complete_masks(7), 1, 2, 10**9)
 
-    def reduction_sweep_n5(impl):
+    def reduction_sweep_n5():
         for masks in sweep:
-            impl.failing_reduction(5, masks, 1, 1, 10**9)
-            partition(impl, 5, masks, 1, 2)
+            _kernels.failing_reduction(5, masks, 1, 1, 10**9)
+            partition(5, masks, 1, 2)
 
     return [
         ("partition check, K6 async f=1 (pass)", partition_pass_k6),
@@ -170,11 +160,11 @@ def protocol_rows(repeat: int) -> None:
     print()
 
 
-def best_time(fn, impl, repeat: int) -> float:
+def best_time(fn, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        fn(impl)
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -210,18 +200,11 @@ def partition_scaling_rows() -> None:
 
 
 def kernel_rows(repeat: int) -> None:
-    if native is None:
-        print("compiled kernel not available; showing pure timings only")
-    header = f"{'workload':44s} {'pure':>10s} {'native':>10s} {'speedup':>8s}"
+    header = f"{'workload':44s} {'seconds':>10s}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads():
-        t_pure = best_time(fn, pure, repeat)
-        if native is not None:
-            t_native = best_time(fn, native, repeat)
-            print(f"{name:44s} {t_pure:9.4f}s {t_native:9.4f}s {t_pure / t_native:7.1f}x")
-        else:
-            print(f"{name:44s} {t_pure:9.4f}s {'-':>10s} {'-':>8s}")
+        print(f"{name:44s} {best_time(fn, repeat):9.4f}s")
     print()
 
 

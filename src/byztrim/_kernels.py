@@ -1,13 +1,9 @@
-"""Pure-Python condition-check kernels.
+"""Condition-check kernels.
 
 These are the hot inner loops of the robustness checks over bitmask
 graphs: the pruned depth-first partition search and the incremental
-reduced-graph sweep.  byztrim._kernels.native is the compiled twin of the
-reduced-graph sweep: it inspects the same reductions in the same order, but
-searches each reduction's graph from every survivor, and returns the same
-verdicts, witnesses and examined counts.  Its exhaustive partition
-enumeration is no longer called by the library; tests keep it as a
-comparison for the search's verdicts and witnesses.
+reduced-graph sweep.  Both carry a search budget and are cross-checked
+against the naive enumerations in the test oracles.
 
 Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
 part of the contract:
@@ -30,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 
+# perfbench/run.py records this in every result; there is no other backend.
 BACKEND = "pure"
 
 # failing_reduction status codes

@@ -77,6 +77,9 @@ def _cmd_equiv(args) -> int:
         source = "exhaustive"
         total = 1 << (args.n * (args.n - 1))
     else:
+        if args.samples < 1:
+            print("error: --samples must be at least 1", file=sys.stderr)
+            return 2
         rng = random.Random(args.seed)
         palette = (0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
         graphs = (
@@ -133,6 +136,9 @@ def _cmd_gen(args) -> int:
         params["p"] = args.p
     if args.kind != "counterexample-k5" and args.n is None:
         print("error: --n is required for this kind", file=sys.stderr)
+        return 2
+    if args.kind == "random-uniform" and args.p is None:
+        print("error: --p is required for random-uniform", file=sys.stderr)
         return 2
     g = harness.generate_graph(args.kind, params, seed=args.seed)
     with open(args.out, "w") as fh:

@@ -18,7 +18,7 @@ import random
 
 import networkx as nx
 
-from byztrim._kernels.pure import BUDGET_EXCEEDED, FAIL, PASS, _bits, _fault_masks
+from byztrim._kernels import BUDGET_EXCEEDED, FAIL, PASS, _bits, _fault_masks
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
 from byztrim.protocol import ProtocolError, RoundMessage

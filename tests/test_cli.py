@@ -49,6 +49,13 @@ class TestGen:
         assert rc == 2
         assert "--n is required" in capsys.readouterr().err
 
+    def test_random_uniform_missing_p(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc = main(["gen", "--kind", "random-uniform", "--n", "4", "--out", str(out)])
+        assert rc == 2
+        assert "--p is required" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_k5_async_fails_with_witness(self, k5_file, capsys):
@@ -123,6 +130,14 @@ class TestEquiv:
 
     def test_exhaustive_capped(self, capsys):
         assert main(["equiv", "--n", "6", "--f", "0", "--exhaustive"]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_must_be_positive(self, capsys, samples):
+        rc = main(["equiv", "--n", "5", "--f", "1", "--samples", samples])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--samples must be at least 1" in captured.err
 
     def test_reduced_graph_budget_exceeded_is_not_a_disagreement(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -2,14 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from byztrim import _kernels
-from byztrim._kernels import pure
 from byztrim.conditions import DEFAULT_PARTITION_BUDGET, check_partition_condition, threshold
 from byztrim.digraph import Digraph
 from conftest import TWIN_RICH_FAMILIES, complete, random_digraph
@@ -21,21 +18,6 @@ def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
         sum(1 << u for u in range(n) if u != v and rng.random() < p)
         for v in range(n)
     )
-
-
-class TestBackendSelection:
-    def test_env_forces_pure(self):
-        code = (
-            "import os; os.environ['BYZTRIM_PURE']='1'; "
-            "from byztrim import _kernels; print(_kernels.BACKEND)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "pure"
-
-    def test_partition_search_is_pure_on_every_backend(self):
-        assert _kernels.violating_partition is pure.violating_partition
 
 
 class TestAgainstNaiveOracle:
@@ -66,8 +48,8 @@ class TestAgainstNaiveOracle:
             masks = random_masks(rng, n, rng.choice([0.4, 0.8, 1.0]))
             f = rng.randrange(0, 3)
             mss = rng.choice([1, f + 1])
-            status, _, _ = pure.failing_reduction(n, masks, f, mss, 10**9)
-            assert (status == pure.PASS) == _full_family_ok(n, masks, f, mss)
+            status, _, _ = _kernels.failing_reduction(n, masks, f, mss, 10**9)
+            assert (status == _kernels.PASS) == _full_family_ok(n, masks, f, mss)
 
 
 class TestPartitionSearch:
@@ -91,24 +73,24 @@ class TestPartitionSearch:
 
     def test_tiny_budget_is_exceeded_deterministically(self):
         masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6
-        status, examined, _ = pure.violating_partition(6, masks, 1, 3, 10**9)
-        assert status == pure.PASS
+        status, examined, _ = _kernels.violating_partition(6, masks, 1, 3, 10**9)
+        assert status == _kernels.PASS
         for budget in (0, 1, 7, examined - 1):
             for _ in range(2):
-                assert pure.violating_partition(6, masks, 1, 3, budget) == (
-                    pure.BUDGET_EXCEEDED,
+                assert _kernels.violating_partition(6, masks, 1, 3, budget) == (
+                    _kernels.BUDGET_EXCEEDED,
                     budget + 1,
                     None,
                 )
-        assert pure.violating_partition(6, masks, 1, 3, examined) == (pure.PASS, examined, None)
+        assert _kernels.violating_partition(6, masks, 1, 3, examined) == (_kernels.PASS, examined, None)
 
     def test_search_is_pruned(self):
         # K12 with f=2 passes async; the full enumeration assigns
         # sum_{k<=2} C(12,k) 3^(12-k) = 6,554,439 leaves.
         n = 12
         masks = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
-        status, examined, _ = pure.violating_partition(n, masks, 2, 5, 10**9)
-        assert status == pure.PASS
+        status, examined, _ = _kernels.violating_partition(n, masks, 2, 5, 10**9)
+        assert status == _kernels.PASS
         assert examined < 10**6
 
 
@@ -138,7 +120,7 @@ class TestTwinCut:
     def test_twin_predecessors(self, n, edges, expect):
         g = Digraph(n, edges)
         out_masks = [sum(1 << v for v in g.out_nbrs[u]) for u in range(n)]
-        assert pure._twin_predecessors(n, g.in_masks(), out_masks) == expect
+        assert _kernels._twin_predecessors(n, g.in_masks(), out_masks) == expect
 
     @settings(max_examples=200, deadline=None)
     @given(twin_rich_case(st.integers(2, 7)))
@@ -154,7 +136,7 @@ class TestTwinCut:
     def test_matches_reference_search(self, case):
         g, f, mode = case
         args = (g.n, g.in_masks(), f, threshold(f, mode), 10**9)
-        status, examined, witness = pure.violating_partition(*args)
+        status, examined, witness = _kernels.violating_partition(*args)
         ref_status, ref_examined, ref_witness = reference_violating_partition(*args)
         assert (status, witness) == (ref_status, ref_witness)
         assert examined <= ref_examined
@@ -164,7 +146,7 @@ class TestTwinCut:
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_complete_graphs_match_reference_search(self, n, f, mode):
         args = (n, complete(n).in_masks(), f, threshold(f, mode), 10**9)
-        status, _, witness = pure.violating_partition(*args)
+        status, _, witness = _kernels.violating_partition(*args)
         ref_status, _, ref_witness = reference_violating_partition(*args)
         assert (status, witness) == (ref_status, ref_witness)
 
@@ -192,9 +174,9 @@ class TestReductionSweep:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         g = Digraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
         mss = f + 1 if by_size else 1
-        status, examined, witness = pure.failing_reduction(n, g.in_masks(), f, mss, budget)
+        status, examined, witness = _kernels.failing_reduction(n, g.in_masks(), f, mss, budget)
         expect_status, expect_examined, expect_witness = naive_failing_reduction(g, f, mss, budget)
-        codes = {"pass": pure.PASS, "fail": pure.FAIL, "budget-exceeded": pure.BUDGET_EXCEEDED}
+        codes = {"pass": _kernels.PASS, "fail": _kernels.FAIL, "budget-exceeded": _kernels.BUDGET_EXCEEDED}
         assert (status, examined) == (codes[expect_status], expect_examined)
         if expect_witness is None:
             assert witness is None
@@ -206,15 +188,15 @@ class TestReductionSweep:
 
     def test_tiny_budget_is_exceeded_deterministically(self):
         masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6 passes with f=1
-        status, examined, _ = pure.failing_reduction(6, masks, 1, 1, 10**9)
-        assert (status, examined) == (pure.PASS, 5**6 + 6 * 4**5)
+        status, examined, _ = _kernels.failing_reduction(6, masks, 1, 1, 10**9)
+        assert (status, examined) == (_kernels.PASS, 5**6 + 6 * 4**5)
         for budget in (0, 1, 4, examined - 1):
-            assert pure.failing_reduction(6, masks, 1, 1, budget) == (
-                pure.BUDGET_EXCEEDED,
+            assert _kernels.failing_reduction(6, masks, 1, 1, budget) == (
+                _kernels.BUDGET_EXCEEDED,
                 budget + 1,
                 None,
             )
-        assert pure.failing_reduction(6, masks, 1, 1, examined) == (pure.PASS, examined, None)
+        assert _kernels.failing_reduction(6, masks, 1, 1, examined) == (_kernels.PASS, examined, None)
 
 
 def _full_family_ok(n: int, in_masks: tuple[int, ...], f: int, min_size: int) -> bool:
