@@ -24,20 +24,26 @@ def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Digr
     complete(n); cycle(n >= 2); random-uniform(n, p) with each ordered pair
     included independently with probability p; counterexample-k5 is the
     5-node complete graph, the smallest instance that defeats f=1 in
-    asynchronous mode.
+    asynchronous mode.  A missing parameter raises ValueError.
     """
     params = params or {}
+
+    def param(name: str):
+        if name not in params:
+            raise ValueError(f"{kind} graph is missing parameter {name!r}")
+        return params[name]
+
     if kind == "complete":
-        n = int(params["n"])
+        n = int(param("n"))
         return Digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
     if kind == "cycle":
-        n = int(params["n"])
+        n = int(param("n"))
         if n < 2:
             raise ValueError(f"cycle needs n >= 2, got {n}")
         return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "random-uniform":
-        n = int(params["n"])
-        p = float(params["p"])
+        n = int(param("n"))
+        p = float(param("p"))
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0,1], got {p}")
         rng = random.Random(seed)

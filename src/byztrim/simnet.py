@@ -104,7 +104,7 @@ class SimConfig:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
@@ -233,8 +233,10 @@ def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int | None) -> dic
 
 
 class PendingMessage(NamedTuple):
-    """An in-flight message; the unique sequence number is its send order
-    (and, being the first field, orders messages on its own)."""
+    """The layout of an in-flight message; the unique sequence number is its
+    send order (and, being the first field, orders messages on its own).
+    The event loop pushes plain tuples of this layout and the pools read
+    them by index, so either kind works in every pool."""
 
     sequence: int
     destination: int
@@ -300,29 +302,27 @@ def _split_behavior(p: dict):
     left = set(p.get("left", ()))
     right = set(p.get("right", ()))
 
-    def values(node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
-        return {
-            dest: low if dest in left else high if dest in right else mid
-            for dest in ctx.out_neighbors
-        }
+    def messages(node: int, tag: int, ctx: BehaviorContext) -> dict[int, RoundMessage]:
+        lo, hi, md = (RoundMessage(node, tag, x) for x in (low, high, mid))
+        return {dest: lo if dest in left else hi if dest in right else md for dest in ctx.out_neighbors}
 
-    return values
+    return messages
 
 
 def _identical_wrong_behavior(p: dict):
     value = p["value"]
-    return lambda node, tag, ctx: {dest: value for dest in ctx.out_neighbors}
+    return lambda node, tag, ctx: dict.fromkeys(ctx.out_neighbors, RoundMessage(node, tag, value))
 
 
 def _random_behavior(p: dict):
     low = p.get("low", 0.0)
     high = p.get("high", 1.0)
 
-    def values(node: int, tag: int, ctx: BehaviorContext) -> dict[int, float]:
+    def messages(node: int, tag: int, ctx: BehaviorContext) -> dict[int, RoundMessage]:
         rng = _derived_rng(ctx.seed, node, tag)
-        return {dest: rng.uniform(low, high) for dest in ctx.out_neighbors}
+        return {dest: RoundMessage(node, tag, rng.uniform(low, high)) for dest in ctx.out_neighbors}
 
-    return values
+    return messages
 
 
 def _silent_behavior(p: dict):
@@ -356,9 +356,10 @@ def _byzantine_params(spec: ByzantineSpec, n: int | None = None) -> dict:
 
 def _byzantine_behavior(
     spec: ByzantineSpec, n: int | None = None
-) -> Callable[[int, int, BehaviorContext], dict[int, float]]:
-    """Parse a Byzantine spec once into `values(node, round_tag, context)`,
-    the per-out-edge values a faulty node sends for one round tag."""
+) -> Callable[[int, int, BehaviorContext], dict[int, RoundMessage]]:
+    """Parse a Byzantine spec once into `messages(node, round_tag, context)`,
+    the per-out-edge messages a faulty node sends for one round tag, in
+    out-neighbour order; destinations sent one value share one message."""
     params = _byzantine_params(spec, n)
     return _BEHAVIORS[spec.kind][2](params)
 
@@ -372,7 +373,8 @@ def byzantine_values(
     right side, mid-range elsewhere), "identical-wrong" (one arbitrary value
     to all), "random" (seeded uniform draws), "silent" (no messages).
     """
-    return _byzantine_behavior(behavior)(node, round_tag, context)
+    messages = _byzantine_behavior(behavior)(node, round_tag, context)
+    return {dest: msg.value for dest, msg in messages.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +429,10 @@ class FifoScheduler:
         return sum(map(len, self.links.values()))
 
     def push(self, pm: PendingMessage) -> None:
-        link = (pm.message.sender, pm.destination)
+        link = (pm[2].sender, pm[1])
         queue = self.links[link]
         if not queue:
-            bisect.insort(self.heads, (pm.sequence, link))
+            bisect.insort(self.heads, (pm[0], link))
         queue.append(pm)
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
@@ -446,7 +448,7 @@ class FifoScheduler:
         queue = self.links[link]
         pm = queue.popleft()
         if queue:
-            bisect.insort(heads, (queue[0].sequence, link))
+            bisect.insort(heads, (queue[0][0], link))
         return pm
 
 
@@ -463,7 +465,7 @@ class SynchronousScheduler:
         return len(self.heap)
 
     def push(self, pm: PendingMessage) -> None:
-        heappush(self.heap, (pm.message.tag, pm.sequence, pm))
+        heappush(self.heap, (pm[2].tag, pm[0], pm))
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
         return heappop(self.heap)[2]
@@ -509,10 +511,10 @@ class AdaptiveDelayScheduler:
         return len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, pm: PendingMessage) -> None:
-        senders = self.withheld.get(pm.destination)
-        if senders and pm.message.sender in senders:
-            heappush(self.held[pm.destination], (pm.message.tag, pm.sequence, pm))
-            self.stale.add(pm.destination)
+        senders = self.withheld.get(pm[1])
+        if senders and pm[2].sender in senders:
+            heappush(self.held[pm[1]], (pm[2].tag, pm[0], pm))
+            self.stale.add(pm[1])
         else:
             heappush(self.released, pm)
 
@@ -527,8 +529,8 @@ class AdaptiveDelayScheduler:
             raise SimulationError("scheduler deadlock: every pending message is withheld")
         self.stale.clear()
         pm = heappop(released)
-        if pm.destination in held:
-            self.stale.add(pm.destination)
+        if pm[1] in held:
+            self.stale.add(pm[1])
         return pm
 
 
@@ -600,17 +602,11 @@ def run_simulation(config: SimConfig) -> Trace:
         nonlocal seq
         st = states[v]
         if v in faulty:
-            tag = st.round - 1
-            per_dest = behavior(v, tag, contexts[v])
-            outgoing = [
-                (dest, RoundMessage(v, tag, per_dest[dest]))
-                for dest in st.out_nbrs
-                if dest in per_dest
-            ]
+            outgoing = behavior(v, st.round - 1, contexts[v]).items()
         else:
             outgoing = st.outgoing_messages()
         for dest, msg in outgoing:
-            push(PendingMessage(seq, dest, msg))
+            push((seq, dest, msg))
             seq += 1
 
     u_levels = [max(values[v][0] for v in fault_free)]
@@ -661,12 +657,14 @@ def run_simulation(config: SimConfig) -> Trace:
             process_ready(v)
 
     record = deliveries.append
+    # The body of Delivery._make without its Python frame (runs in C).
+    new_tuple = tuple.__new__
     while outcome is None:
         if vt == seq:
             raise SimulationError("no pending messages but the run is not finished")
         _, dest, msg = pop(rounds)
         vt += 1
-        record(Delivery(vt, msg.sender, dest, msg.tag, msg.value))
+        record(new_tuple(Delivery, (vt, msg.sender, dest, msg.tag, msg.value)))
         st = states[dest]
         if st.ingest_message(msg) and msg.tag == st.round - 1:
             process_ready(dest)
@@ -800,32 +798,42 @@ def trace_metrics(trace: Trace, epsilon: float | None = None) -> TraceMetrics:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Value history as CSV rows (round, nodeId, value), fault-free nodes only."""
+    values = trace.values
+    nodes = sorted(values)
+    # csv.writer's bytes (both writers): ints and float reprs need no quoting,
+    # and "\r\n" is its (excel) line terminator.
+    rows = ["round,nodeId,value\r\n"]
+    for t in range(max(len(vs) for vs in values.values())):
+        rows += [f"{t},{v},{values[v][t]!r}\r\n" for v in nodes if t < len(values[v])]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "nodeId", "value"])
-        max_len = max(len(vs) for vs in trace.values.values())
-        for t in range(max_len):
-            for v in sorted(trace.values):
-                if t < len(trace.values[v]):
-                    w.writerow([t, v, repr(trace.values[v][t])])
+        fh.write("".join(rows))
 
 
 def write_metrics_csv(trace: Trace, path: str) -> None:
     """Companion CSV (round, U, mu, spread) over the common rounds."""
+    levels = enumerate(zip(trace.u_levels, trace.mu_levels))
+    rows = ["round,U,mu,spread\r\n"] + [f"{t},{u!r},{mu!r},{u - mu!r}\r\n" for t, (u, mu) in levels]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "U", "mu", "spread"])
-        for t in range(len(trace.u_levels)):
-            w.writerow([t, repr(trace.u_levels[t]), repr(trace.mu_levels[t]), repr(trace.spread(t))])
+        fh.write("".join(rows))
 
 
 def read_trace_csv(path: str) -> dict[int, list[float]]:
-    """Load a values CSV back into {node: [v[0], v[1], ...]}."""
+    """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
+    column (an empty file lacks all three), a row with too few fields or a
+    gap in a node's rounds raises ValueError; blank lines are skipped."""
     values: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values.setdefault(int(row["nodeId"]), {})[int(row["round"])] = float(row["value"])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in ("round", "nodeId", "value") if name not in header]
+        if missing:
+            raise ValueError(f"trace CSV is missing column(s) {', '.join(map(repr, missing))}")
+        at_round, at_node, at_value = map(header.index, ("round", "nodeId", "value"))
+        width = max(at_round, at_node, at_value) + 1
+        for row in filter(None, reader):
+            if len(row) < width:
+                raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
+            values.setdefault(int(row[at_node]), {})[int(row[at_round])] = float(row[at_value])
     out = {}
     for node, by_round in values.items():
         seq = [by_round[t] for t in sorted(by_round)]

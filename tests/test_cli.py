@@ -290,6 +290,22 @@ class TestRunVerify:
         assert rc == 2
         assert "does not apply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodeId,round\r\n0,0\r\n", "missing column(s) 'value'"),
+            ("", "missing column(s) 'round', 'nodeId', 'value'"),
+            ("round,nodeId,value\r\n0,0,0.5\r\n0,1\r\n", "line 3 has 2 field(s), need 3"),
+        ],
+    )
+    def test_verify_rejects_malformed_trace(self, tmp_path, k6_file, capsys, text, message):
+        trace_path = tmp_path / "bad.csv"
+        trace_path.write_bytes(text.encode())
+        rc = main(["verify", str(trace_path), "--graph", str(k6_file), "--f", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: trace CSV") and message in err
+
     def test_verify_budget_exceeded(self, tmp_path, k6_file, capsys, tiny_budget):
         rc = main(["verify", str(tmp_path / "t.csv"), "--graph", str(k6_file), "--f", "1"])
         assert rc == 2

@@ -39,6 +39,19 @@ class TestGenerateGraph:
         with pytest.raises(ValueError, match="probability"):
             generate_graph("random-uniform", {"n": 4, "p": 1.5})
 
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("complete", {}, "n"),
+            ("cycle", None, "n"),
+            ("random-uniform", {"n": 4}, "p"),
+            ("random-uniform", {"p": 0.5}, "n"),
+        ],
+    )
+    def test_missing_parameter(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"{kind} graph is missing parameter '{name}'"):
+            generate_graph(kind, params)
+
     def test_counterexample_k5(self):
         g = generate_graph("counterexample-k5")
         assert g.n == 5 and len(g.edges) == 20

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -16,6 +17,7 @@ from byztrim.simnet import (
     AdaptiveDelayScheduler,
     BehaviorContext,
     ByzantineSpec,
+    Delivery,
     FifoScheduler,
     PendingMessage,
     RandomScheduler,
@@ -23,6 +25,7 @@ from byztrim.simnet import (
     SimConfig,
     SimulationError,
     SynchronousScheduler,
+    Trace,
     build_attack_config,
     byzantine_values,
     run_simulation,
@@ -444,6 +447,69 @@ class TestCsvExport:
         write_trace_csv(run_simulation(cfg), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("crafted", [False, True])
+    def test_writers_match_csv_writer(self, tmp_path, crafted):
+        """Both writers build their text by hand; it must be what csv.writer
+        writes for the same rows (the golden digests cover the trace CSV of
+        a few runs only, and no digest covers the metrics CSV)."""
+        trace = run_simulation(k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {})))
+        if crafted:
+            # Reprs with exponents, signs, long digit strings; ragged rounds.
+            odd = [0.1, -0.0, 1e-300, 2.5e300, -1.0000000000000002, 123456789.125, 1e16]
+            values = {0: odd, 3: odd[:4], 1: odd[::-1], 7: []}
+            trace = Trace(trace.config, values, odd, odd[::-1], [], "max-rounds-hit", None)
+
+        def reference(path, header, rows):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
+
+        longest = max(map(len, trace.values.values()))
+        reference(
+            tmp_path / "trace-ref.csv",
+            ["round", "nodeId", "value"],
+            [
+                [t, v, repr(trace.values[v][t])]
+                for t in range(longest)
+                for v in sorted(trace.values)
+                if t < len(trace.values[v])
+            ],
+        )
+        reference(
+            tmp_path / "metrics-ref.csv",
+            ["round", "U", "mu", "spread"],
+            [
+                [t, repr(trace.u_levels[t]), repr(trace.mu_levels[t]), repr(trace.spread(t))]
+                for t in range(len(trace.u_levels))
+            ],
+        )
+        write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        write_metrics_csv(trace, str(tmp_path / "metrics.csv"))
+        for name in ("trace", "metrics"):
+            ref = (tmp_path / f"{name}-ref.csv").read_bytes()
+            assert (tmp_path / f"{name}.csv").read_bytes() == ref
+
+    def test_read_finds_columns_by_name_and_skips_blank_lines(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_text("value,extra,round,nodeId\n0.5,x,0,1\n\n0.25,y,1,1\n-1.0,z,0,4\n")
+        assert read_trace_csv(str(out)) == {1: [0.5, 0.25], 4: [-1.0]}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodeId,round\n0,0\n", "missing column\\(s\\) 'value'"),
+            ("", "missing column\\(s\\) 'round', 'nodeId', 'value'"),
+            ("round,nodeId,value\n0,0,0.5\n\n1,0\n", "line 4 has 2 field\\(s\\), need 3"),
+            ("round,nodeId,value\n0,0,0.5\n2,0,0.5\n", "not contiguous"),
+        ],
+    )
+    def test_read_rejects_malformed(self, tmp_path, text, message):
+        out = tmp_path / "t.csv"
+        out.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(str(out))
+
 
 def _golden_config(kind: str) -> SimConfig:
     if kind == "adaptive-k5":
@@ -486,6 +552,7 @@ class TestGoldenDeliveryLog:
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, str(out))
         assert len(trace.deliveries) == deliveries
+        assert all(type(d) is Delivery for d in trace.deliveries)
         blob = repr(trace.deliveries).encode() + out.read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -518,6 +585,47 @@ class TestInlinedDraw:
         pool = RandomScheduler(1) if kind == "random" else FifoScheduler(1)
         with pytest.raises(IndexError):
             pool.pop({})
+
+
+class TestPlainTupleMessages:
+    """The event loop pushes plain (sequence, destination, message) tuples,
+    while tests and oracles push PendingMessage.  Each pool must pop the
+    same sequence numbers for either kind, and for a mix of both."""
+
+    @staticmethod
+    def _pops(kind: str, make) -> list:
+        pool = {
+            "random": lambda: RandomScheduler(3),
+            "fifo": lambda: FifoScheduler(3),
+            "synchronous": SynchronousScheduler,
+            "adaptive-delay": lambda: AdaptiveDelayScheduler(complete(4), 1, [0, 1], [], [2, 3]),
+        }[kind]()
+        rng = random.Random(11)
+        rounds = {v: 1 for v in range(4)}
+        popped = []
+        for step in range(60):
+            if step < 40 and step % 3 != 2:
+                seq = len(popped) + len(pool)
+                sender, dest = rng.sample(range(4), 2)
+                pool.push(make(seq, dest, RoundMessage(sender, rng.randrange(3), float(seq))))
+                continue
+            if not len(pool):
+                break
+            try:
+                pm = pool.pop(rounds)
+            except SimulationError:
+                return popped + ["deadlock"]
+            popped.append(pm[0])
+            rounds[pm[1]] += 1  # as in the event loop: only the receiver advances
+        return popped
+
+    @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
+    def test_same_pops_for_named_and_plain_tuples(self, kind):
+        named = self._pops(kind, PendingMessage)
+        plain = self._pops(kind, lambda *pm: pm)
+        mixed = self._pops(kind, lambda *pm: PendingMessage(*pm) if pm[0] % 2 else pm)
+        assert len(named) >= 20
+        assert named == plain == mixed
 
 
 @st.composite
