@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the condition-check kernels, the protocol update and the
-simulator on representative workloads.
+"""Benchmark the condition-check kernels, the protocol update, the
+simulator and trace CSV I/O on representative workloads.
 
 The kernel rows time the pruned depth-first partition search and the
 incremental reduced-graph sweep of `byztrim._kernels`, best of `--repeat`
@@ -22,13 +22,28 @@ average update and the move to the next round) on complete graphs, f=1,
 with a full buffer of distinct random values; buffers are filled outside
 the timed loop.
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+The CSV rows time one call of each trace-file function on an existing
+file: `write_trace_csv` and `write_metrics_csv` rewriting the file they
+wrote before (as every `run` and `attack` into the same path does), and
+`read_trace_csv`.  Inputs are the trace of a 30-round K8 `random` run,
+about the size of one `run`, and a synthetic 15-node, 2,000-round trace.
+
+Usage: python benchmarks/bench_kernels.py [--repeat N] [--json]
+
+With --json the rows go to stdout as one JSON object, one list of row
+objects per section, instead of as text tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
+import os
+import platform
 import random
+import sys
+import tempfile
 import time
 
 from byztrim import _kernels, simnet
@@ -88,25 +103,30 @@ def workloads():
     ]
 
 
+def complete_config(kind: str, n: int, rounds: int) -> simnet.SimConfig:
+    """A fixed run on K_n, f=1, one `random` Byzantine node."""
+    rng = random.Random(n)
+    return simnet.SimConfig(
+        graph=generate_graph("complete", {"n": n}),
+        f=1,
+        fault_set=frozenset({n - 1}),
+        inputs=tuple(rng.random() for _ in range(n)),
+        scheduler=simnet.SchedulerSpec(kind),
+        byzantine=simnet.ByzantineSpec("random", {"low": -1.0, "high": 2.0}),
+        seed=n,
+        max_rounds=rounds,
+        epsilon=0.0,
+    )
+
+
 def simulator_configs():
     """(name, SimConfig) rows; every config is fixed, so every run of a row
     delivers the same messages."""
-    rows = []
-    for kind in ("random", "fifo", "synchronous"):
-        for n, rounds in ((6, 200), (16, 50), (32, 20)):
-            rng = random.Random(n)
-            config = simnet.SimConfig(
-                graph=generate_graph("complete", {"n": n}),
-                f=1,
-                fault_set=frozenset({n - 1}),
-                inputs=tuple(rng.random() for _ in range(n)),
-                scheduler=simnet.SchedulerSpec(kind),
-                byzantine=simnet.ByzantineSpec("random", {"low": -1.0, "high": 2.0}),
-                seed=n,
-                max_rounds=rounds,
-                epsilon=0.0,
-            )
-            rows.append((f"{kind}, K{n} f=1, {rounds} rounds", config))
+    rows = [
+        (f"{kind}, K{n} f=1, {rounds} rounds", complete_config(kind, n, rounds))
+        for kind in ("random", "fifo", "synchronous")
+        for n, rounds in ((6, 200), (16, 50), (32, 20))
+    ]
     for g, f, rounds in (
         (generate_graph("counterexample-k5"), 1, 400),
         (generate_graph("complete", {"n": 10}), 2, 150),
@@ -151,13 +171,11 @@ def update_cost(n: int, repeat: int, calls: int = 5_000) -> float:
     return best / calls
 
 
-def protocol_rows(repeat: int) -> None:
-    header = f"{'protocol update':44s} {'in-degree':>10s} {'us/call':>10s}"
-    print(header)
-    print("-" * len(header))
-    for n in (8, 16, 32):
-        print(f"{f'NodeState.apply_update, K{n} f=1':44s} {n - 1:10d} {update_cost(n, repeat) * 1e6:10.2f}")
-    print()
+def protocol_rows(repeat: int) -> list[dict]:
+    return [
+        {"name": f"NodeState.apply_update, K{n} f=1", "in_degree": n - 1, "us_per_call": update_cost(n, repeat) * 1e6}
+        for n in (8, 16, 32)
+    ]
 
 
 def best_time(fn, repeat: int) -> float:
@@ -169,54 +187,125 @@ def best_time(fn, repeat: int) -> float:
     return best
 
 
-def simulator_rows(repeat: int) -> None:
-    header = f"{'simulator run':44s} {'deliveries':>10s} {'per s':>10s}"
-    print(header)
-    print("-" * len(header))
+def simulator_rows(repeat: int) -> list[dict]:
+    rows = []
     for name, config in simulator_configs():
         count, rate = simulator_rate(config, repeat)
-        print(f"{name:44s} {count:10d} {rate:10.0f}")
+        rows.append({"name": name, "deliveries": count, "per_s": rate})
+    return rows
 
 
-def partition_scaling_rows() -> None:
-    header = f"{'partition check, async':44s} {'verdict':>16s} {'examined':>10s} {'seconds':>8s}"
-    print(header)
-    print("-" * len(header))
-    rows = [
+def partition_scaling_rows() -> list[dict]:
+    graphs = [
         (f"K{n} f={f}", generate_graph("complete", {"n": n}), f)
         for n in (12, 16, 20, 24)
         for f in (2, 3)
     ]
-    rows += [
+    graphs += [
         (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2)
         for n in range(12, 17)
     ]
-    for name, g, f in rows:
+    rows = []
+    for name, g, f in graphs:
         start = time.perf_counter()
         report = check_partition_condition(g, f, ASYNC)
         seconds = time.perf_counter() - start
-        print(f"{name:44s} {report.verdict:>16s} {report.examined:10d} {seconds:8.3f}")
-    print()
+        rows.append({"name": name, "verdict": report.verdict, "examined": report.examined, "seconds": seconds})
+    return rows
 
 
-def kernel_rows(repeat: int) -> None:
-    header = f"{'workload':44s} {'seconds':>10s}"
+def kernel_rows(repeat: int) -> list[dict]:
+    return [{"name": name, "seconds": best_time(fn, repeat)} for name, fn in workloads()]
+
+
+def csv_traces() -> list[tuple[str, simnet.Trace]]:
+    """(label, trace) inputs of the CSV rows: a K8 `random` run and a
+    synthetic 15-node, 2,000-round trace with distinct values."""
+    config = complete_config("random", 8, 30)
+    rng = random.Random(15)
+    values = {v: [rng.random() for _ in range(2_000)] for v in range(15)}
+    levels = [max(vs[t] for vs in values.values()) for t in range(2_000)]
+    synthetic = simnet.Trace(config, values, levels, [0.0] * 2_000, [], "max-rounds-hit", None)
+    return [("K8 run", simnet.run_simulation(config)), ("synthetic 15x2000", synthetic)]
+
+
+def per_call(fn, repeat: int, cover: float = 0.1) -> float:
+    """Best-of-`repeat` seconds per call of `fn`; a sample repeats the call
+    until it covers about `cover` seconds, so fast calls are not timed alone."""
+    start = time.perf_counter()
+    fn()
+    runs = max(1, int(cover / max(time.perf_counter() - start, 1e-6)))
+
+    def sample():
+        for _ in range(runs):
+            fn()
+
+    return best_time(sample, repeat) / runs
+
+
+def csv_rows(repeat: int) -> list[dict]:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        for label, trace in csv_traces():
+            for name, call in (
+                ("write_trace_csv, rewrite", functools.partial(simnet.write_trace_csv, trace, path)),
+                ("write_metrics_csv, rewrite", functools.partial(simnet.write_metrics_csv, trace, path)),
+                ("read_trace_csv", functools.partial(simnet.read_trace_csv, path)),
+            ):
+                if name == "read_trace_csv":
+                    simnet.write_trace_csv(trace, path)
+                call()  # a rewrite now finds the file it writes
+                seconds = per_call(call, repeat)
+                rows.append({"name": f"{name}, {label}", "bytes": os.path.getsize(path), "ms_per_call": seconds * 1e3})
+    return rows
+
+
+# section: (title, [(column, key, width, format)])
+SECTIONS = {
+    "kernels": ("workload", [("seconds", "seconds", 10, ".4f")]),
+    "partition_scaling": (
+        "partition check, async",
+        [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
+    ),
+    "protocol": ("protocol update", [("in-degree", "in_degree", 10, "d"), ("us/call", "us_per_call", 10, ".2f")]),
+    "simulator": ("simulator run", [("deliveries", "deliveries", 10, "d"), ("per s", "per_s", 10, ".0f")]),
+    "csv": ("trace CSV I/O", [("bytes", "bytes", 10, "d"), ("ms/call", "ms_per_call", 10, ".3f")]),
+}
+
+
+def print_table(section: str, rows: list[dict]) -> None:
+    title, columns = SECTIONS[section]
+    header = f"{title:48s} " + " ".join(f"{col:>{width}s}" for col, _, width, _ in columns)
     print(header)
     print("-" * len(header))
-    for name, fn in workloads():
-        print(f"{name:44s} {best_time(fn, repeat):9.4f}s")
+    for row in rows:
+        cells = " ".join(f"{row[key]:>{width}{fmt}}" for _, key, width, fmt in columns)
+        print(f"{row['name']:48s} {cells}")
     print()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3, help="best-of-N timing")
+    parser.add_argument("--json", action="store_true", help="print the rows as one JSON object")
     args = parser.parse_args()
 
-    kernel_rows(args.repeat)
-    partition_scaling_rows()
-    protocol_rows(args.repeat)
-    simulator_rows(args.repeat)
+    sections = {
+        "kernels": lambda: kernel_rows(args.repeat),
+        "partition_scaling": partition_scaling_rows,
+        "protocol": lambda: protocol_rows(args.repeat),
+        "simulator": lambda: simulator_rows(args.repeat),
+        "csv": lambda: csv_rows(args.repeat),
+    }
+    if args.json:
+        out = {"python": platform.python_version(), "repeat": args.repeat}
+        out.update((name, rows()) for name, rows in sections.items())
+        json.dump(out, sys.stdout, indent=1)
+        sys.stdout.write("\n")
+    else:
+        for name, rows in sections.items():
+            print_table(name, rows())
     return 0
 
 

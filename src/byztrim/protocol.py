@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import copysign
 
 from byztrim.digraph import Digraph
 
@@ -20,7 +21,7 @@ class ProtocolError(ValueError):
     """Raised on protocol-rule violations (bad sender, degree too small, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundMessage:
     """A value announcement tagged with the round index it belongs to."""
 
@@ -73,17 +74,18 @@ class NodeState:
     def ingest_message(self, m: RoundMessage) -> bool:
         """Buffer a received message.  Returns True if stored, False if the
         message was stale or a duplicate for its (sender, tag) slot."""
-        if m.sender not in self.in_nbrs:
-            raise ProtocolError(f"node {self.id} got message from non-neighbour {m.sender}")
-        if m.tag < self.round - 1:
+        sender, tag = m.sender, m.tag
+        if sender not in self.in_nbrs:
+            raise ProtocolError(f"node {self.id} got message from non-neighbour {sender}")
+        if tag < self.round - 1:
             return False
-        slot = self.buffer.get(m.tag)
+        slot = self.buffer.get(tag)
         if slot is None:
-            self.buffer[m.tag] = {m.sender: m.value}
+            self.buffer[tag] = {sender: m.value}
             return True
-        if m.sender in slot:
+        if sender in slot:
             return False
-        slot[m.sender] = m.value
+        slot[sender] = m.value
         return True
 
     def round_ready(self) -> bool:
@@ -113,17 +115,24 @@ class NodeState:
             self.round += 1
             return self.value
         tag = self.round - 1
-        arrivals = [(w, s) for s, w in islice(self.buffer[tag].items(), self.expected_count)]
-        arrivals.sort()
-        kept = arrivals[self.f : len(arrivals) - self.f]
-        if not kept:
+        slot, count, f = self.buffer[tag], self.expected_count, self.f
+        if count <= 2 * f:
             raise ProtocolError(
-                f"node {self.id}: trimming 2f={2 * self.f} values leaves nothing to average"
+                f"node {self.id}: trimming 2f={2 * f} values leaves nothing to average"
             )
+        # Sorting the values alone keeps what the (value, sender) order keeps:
+        # tied values are equal floats, so the sum's value is the same.  Only
+        # the sign of a zero sum can differ: it is -0.0 exactly when the own
+        # value and every kept value are -0.0, and which of tied 0.0 and -0.0
+        # the trim keeps is up to the sender order.
         total = self.value
-        for w, _ in kept:
+        for w in sorted(islice(slot.values(), count))[f : count - f]:
             total += w
-        self.value = total / (len(kept) + 1)
+        if not total and copysign(1.0, self.value) < 0.0:
+            total = self.value
+            for w, _ in sorted((w, s) for s, w in islice(slot.items(), count))[f : count - f]:
+                total += w
+        self.value = total / (count - 2 * f + 1)
         self.round += 1
         del self.buffer[tag]
         return self.value

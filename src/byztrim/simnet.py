@@ -478,19 +478,21 @@ class AdaptiveDelayScheduler:
     that could have used them, then released (and discarded as stale).  All
     delays stay finite.
 
-    Delivery is the lowest sequence among the messages not withheld.  Those
-    sit in a heap of the messages themselves, which order by their first
-    field, the unique sequence; messages from a receiver's withheld senders
-    sit in that receiver's heap keyed by (tag, sequence) and move to the
-    released heap once the receiver's round exceeds tag + 1.
+    Delivery is the lowest sequence among the messages not withheld.
+    Messages never withheld arrive in sequence order (the event loop pushes
+    in send order), so they queue in a deque; messages from a receiver's
+    withheld senders sit in that receiver's heap keyed by (tag, sequence)
+    and move to the released heap, which orders messages by their first
+    field, the unique sequence, once the receiver's round exceeds tag + 1.
+    A pop takes the lower of the two heads.
 
     A receiver's held heap can gain a releasable message only when it is
     pushed to or when its round rises.  The event loop raises a round only
     for the destination of the message it just delivered (and for any node
     before the first delivery), so `pop` re-examines just the receivers in
     `stale`: all of them at first, then the ones pushed to since the last
-    pop and the last popped destination.  A pop costs O(log pending) plus
-    the releases it makes."""
+    pop and the last popped destination.  A pop costs O(1) from the queue
+    or O(log released) from the heap, plus the releases it makes."""
 
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
@@ -504,11 +506,12 @@ class AdaptiveDelayScheduler:
         self.held: dict[int, list[tuple[int, int, PendingMessage]]] = {
             v: [] for v, senders in self.withheld.items() if senders
         }
+        self.queue: deque[PendingMessage] = deque()
         self.released: list[PendingMessage] = []
         self.stale: set[int] = set(self.held)
 
     def __len__(self) -> int:
-        return len(self.released) + sum(map(len, self.held.values()))
+        return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, pm: PendingMessage) -> None:
         senders = self.withheld.get(pm[1])
@@ -516,19 +519,22 @@ class AdaptiveDelayScheduler:
             heappush(self.held[pm[1]], (pm[2].tag, pm[0], pm))
             self.stale.add(pm[1])
         else:
-            heappush(self.released, pm)
+            self.queue.append(pm)
 
     def pop(self, rounds: dict[int, int]) -> PendingMessage:
-        released, held = self.released, self.held
+        queue, released, held = self.queue, self.released, self.held
         for v in self.stale:
             heap = held[v]
             # Held while the receiver could still use the tag (round <= tag+1).
             while heap and rounds[v] > heap[0][0] + 1:
                 heappush(released, heappop(heap)[2])
-        if not released:
+        if released and (not queue or released[0][0] < queue[0][0]):
+            pm = heappop(released)
+        elif queue:
+            pm = queue.popleft()
+        else:
             raise SimulationError("scheduler deadlock: every pending message is withheld")
         self.stale.clear()
-        pm = heappop(released)
         if pm[1] in held:
             self.stale.add(pm[1])
         return pm
@@ -574,11 +580,12 @@ def run_simulation(config: SimConfig) -> Trace:
     scheduler until the fault-free spread falls to epsilon or every
     fault-free node completes max_rounds.
 
-    A node is ready once it holds enough messages tagged with the round it
-    waits on, and after process_ready it is not ready (or can no longer
-    advance).  A delivery therefore runs process_ready only when the
-    receiver stored a message of exactly that tag: a stale, duplicate or
-    early message leaves readiness unchanged."""
+    A node is ready once it holds `expected_count` messages tagged with the
+    round it waits on, and after process_ready it is not ready (or can no
+    longer advance).  Slots only grow, one stored message at a time, so a
+    delivery runs process_ready only when the message it stored fills the
+    awaited slot to exactly `expected_count`: any other delivery leaves
+    readiness unchanged."""
     config.validate()
     g, f = config.graph, config.f
     faulty = config.fault_set
@@ -664,9 +671,10 @@ def run_simulation(config: SimConfig) -> Trace:
             raise SimulationError("no pending messages but the run is not finished")
         _, dest, msg = pop(rounds)
         vt += 1
-        record(new_tuple(Delivery, (vt, msg.sender, dest, msg.tag, msg.value)))
+        tag = msg.tag
+        record(new_tuple(Delivery, (vt, msg.sender, dest, tag, msg.value)))
         st = states[dest]
-        if st.ingest_message(msg) and msg.tag == st.round - 1:
+        if st.ingest_message(msg) and tag == st.round - 1 and len(st.buffer[tag]) == st.expected_count:
             process_ready(dest)
 
     return Trace(
@@ -819,8 +827,9 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
 
 def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
-    column (an empty file lacks all three), a row with too few fields or a
-    gap in a node's rounds raises ValueError; blank lines are skipped."""
+    column (an empty file lacks all three), a row with too few fields, a
+    repeated (round, nodeId) pair or a gap in a node's rounds raises
+    ValueError; blank lines are skipped."""
     values: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -833,7 +842,11 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
         for row in filter(None, reader):
             if len(row) < width:
                 raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
-            values.setdefault(int(row[at_node]), {})[int(row[at_round])] = float(row[at_value])
+            node, t = int(row[at_node]), int(row[at_round])
+            by_round = values.setdefault(node, {})
+            if t in by_round:
+                raise ValueError(f"trace CSV line {reader.line_num} repeats round {t} of node {node}")
+            by_round[t] = float(row[at_value])
     out = {}
     for node, by_round in values.items():
         seq = [by_round[t] for t in sorted(by_round)]

@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from byztrim.digraph import Digraph
 from byztrim.protocol import NodeState, ProtocolError, RoundMessage, compute_alpha, init_node
 
@@ -211,6 +212,40 @@ class TestApplyUpdate:
         lo = min([prev] + honest[:2])
         hi = max([prev] + honest[:2])
         assert lo - 1e-9 <= out <= hi + 1e-9
+
+
+class TestValueOnlySort:
+    """apply_update sorts the buffered values alone, oracles.NaiveNode sorts
+    (value, sender) pairs.  On buffers full of ties, 0.0 and -0.0 (the one
+    tie whose order can change a sum's bits, through the sign of a zero),
+    both must return the same float, bit for bit."""
+
+    VALUES = (-1.0, -0.0, 0.0, 0.5, 2.0)
+    # Half the draws are zeros, so runs of tied 0.0 and -0.0 are common.
+    VALUE = st.one_of(st.sampled_from((-0.0, 0.0)), st.sampled_from(VALUES))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        f=st.integers(0, 2),
+        extra=st.integers(0, 3),
+        require_all=st.booleans(),
+        own=VALUE,
+        values=st.lists(VALUE, min_size=10, max_size=10),
+        order=st.permutations(range(1, 11)),
+    )
+    # Own value -0.0 and zeros only in the trim window: the pair order keeps
+    # sender 2's -0.0, arrival order would keep sender 1's 0.0.
+    @example(f=1, extra=0, require_all=False, own=-0.0, values=[-0.0, 0.0, 0.0] + [2.0] * 7,
+             order=[2, 1, 3, 4, 5, 6, 7, 8, 9, 10])
+    def test_bit_identical_to_pair_sort(self, f, extra, require_all, own, values, order):
+        g = star_in(3 * f + 1 + extra)
+        senders = [s for s in order if s in g.in_nbrs[0]]
+        fast = NodeState(0, own, g, f, require_all=require_all)
+        naive = oracles.NaiveNode(0, own, g, f, require_all)
+        for sender, value in zip(senders, values):
+            fast.ingest_message(RoundMessage(sender, 0, value))
+            naive.ingest_message(RoundMessage(sender, 0, value))
+        assert fast.apply_update().hex() == naive.apply_update().hex()
 
 
 class TestComputeAlpha:

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -490,6 +492,32 @@ class TestCsvExport:
             ref = (tmp_path / f"{name}-ref.csv").read_bytes()
             assert (tmp_path / f"{name}.csv").read_bytes() == ref
 
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        long_trace = run_simulation(k6_config(epsilon=1e-9))
+        short_trace = run_simulation(k6_config(epsilon=1e-2))
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        for write in (write_trace_csv, write_metrics_csv):
+            write(short_trace, str(fresh))
+            write(long_trace, str(reused))
+            assert reused.stat().st_size > fresh.stat().st_size
+            write(short_trace, str(reused))
+            assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_write_to_devnull(self):
+        trace = run_simulation(k6_config())
+        write_trace_csv(trace, os.devnull)
+        write_metrics_csv(trace, os.devnull)
+
+    def test_new_file_gets_the_mode_of_open_w(self, tmp_path):
+        trace = run_simulation(k6_config())
+        with open(tmp_path / "reference.csv", "w"):
+            pass
+        write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        write_metrics_csv(trace, str(tmp_path / "metrics.csv"))
+        expected = stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode)
+        for name in ("trace.csv", "metrics.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected
+
     def test_read_finds_columns_by_name_and_skips_blank_lines(self, tmp_path):
         out = tmp_path / "t.csv"
         out.write_text("value,extra,round,nodeId\n0.5,x,0,1\n\n0.25,y,1,1\n-1.0,z,0,4\n")
@@ -502,6 +530,7 @@ class TestCsvExport:
             ("", "missing column\\(s\\) 'round', 'nodeId', 'value'"),
             ("round,nodeId,value\n0,0,0.5\n\n1,0\n", "line 4 has 2 field\\(s\\), need 3"),
             ("round,nodeId,value\n0,0,0.5\n2,0,0.5\n", "not contiguous"),
+            ("round,nodeId,value\n0,0,0.5\n1,0,0.5\n0,0,0.25\n", "line 4 repeats round 0 of node 0"),
         ],
     )
     def test_read_rejects_malformed(self, tmp_path, text, message):
