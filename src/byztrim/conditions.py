@@ -53,13 +53,6 @@ def threshold(f: int, mode: str) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _mask(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
-
-
 def _unmask(mask: int) -> frozenset[int]:
     out = set()
     v = 0

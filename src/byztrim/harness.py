@@ -24,26 +24,32 @@ def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Digr
     complete(n); cycle(n >= 2); random-uniform(n, p) with each ordered pair
     included independently with probability p; counterexample-k5 is the
     5-node complete graph, the smallest instance that defeats f=1 in
-    asynchronous mode.  A missing parameter raises ValueError.
+    asynchronous mode.  `n` must be an integer and `p` a real number (not
+    a boolean or a string); a missing or mistyped parameter raises
+    ValueError.
     """
     params = params or {}
 
-    def param(name: str):
+    def param(name: str, real: bool = False):
         if name not in params:
             raise ValueError(f"{kind} graph is missing parameter {name!r}")
-        return params[name]
+        value = params[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+            expected = "a real number" if real else "an integer"
+            raise ValueError(f"{kind} graph parameter {name!r} must be {expected}, got {value!r}")
+        return value
 
     if kind == "complete":
-        n = int(param("n"))
+        n = param("n")
         return Digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
     if kind == "cycle":
-        n = int(param("n"))
+        n = param("n")
         if n < 2:
             raise ValueError(f"cycle needs n >= 2, got {n}")
         return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "random-uniform":
-        n = int(param("n"))
-        p = float(param("p"))
+        n = param("n")
+        p = param("p", real=True)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0,1], got {p}")
         rng = random.Random(seed)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-import math
 import random
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from byztrim.digraph import Digraph, parse_graph
 from byztrim.conditions import Partition
@@ -63,7 +63,21 @@ class SimConfig:
     max_rounds: int = 1000
     epsilon: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[dict, dict | None]:
+        """Check every rule of a config, loaded from JSON or built in Python:
+        `f`, `seed` and `max_rounds` are integers (not booleans), `fault_set`
+        entries integers, `inputs` and `epsilon` finite reals; the range
+        rules below; known scheduler and byzantine kinds with valid params
+        (the kind tables _SCHEDULERS and _BEHAVIORS).  Return the checked
+        scheduler and byzantine params (None without a byzantine spec) as
+        floats and tuples of node ids.  Anything else raises ValueError."""
+        for name in ("f", "seed", "max_rounds"):
+            _int_value(getattr(self, name), name)
+        for v in self.fault_set:
+            _int_value(v, "fault_set entry")
+        for x in self.inputs:
+            _real_value(x, "input")
+        _real_value(self.epsilon, "epsilon")
         if self.f < 0:
             raise ValueError("f must be >= 0")
         if len(self.fault_set) > self.f:
@@ -80,15 +94,11 @@ class SimConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        self.check_params()
-
-    def check_params(self) -> None:
-        """Raise ValueError unless the scheduler and byzantine kinds are
-        known and their params are valid (see _scheduler_params and
-        _byzantine_params)."""
-        _scheduler_params(self.scheduler, self.graph.n)
-        if self.byzantine is not None:
-            _byzantine_params(self.byzantine, self.graph.n)
+        n = self.graph.n
+        scheduler = _spec_params(self.scheduler, "scheduler", _SCHEDULERS, n)
+        if self.byzantine is None:
+            return scheduler, None
+        return scheduler, _spec_params(self.byzantine, "byzantine behavior", _BEHAVIORS, n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,12 +118,14 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        """Build a config from its JSON form.  `graph`, `f`, `inputs` and
-        `scheduler` are required (null counts as missing) and unknown fields
-        are rejected; integer fields must be JSON integers (not booleans or
-        floats) and real fields finite numbers.  The scheduler and byzantine
-        kinds must be known and their params valid (check_params).  Anything
-        else raises ValueError."""
+        """Build a config from its JSON form.  This checks the JSON shape:
+        the config and the scheduler and byzantine specs are objects with
+        no unknown fields, `graph`, `f`, `inputs` and `scheduler` are
+        present (null counts as missing), `inputs` and `fault_set` are
+        lists, and `fault_set` entries are integers before they are hashed
+        (1.0 would pass as node 1).  JSON integers in `inputs` and
+        `epsilon` load as floats.  The config then goes through validate(),
+        so whatever it rejects raises ValueError here too."""
         _json_object(d, "config", _CONFIG_FIELDS)
         for name in ("graph", "f", "inputs", "scheduler"):
             if d.get(name) is None:
@@ -123,16 +135,16 @@ class SimConfig:
         fault_set = _json_list(d.get("fault_set", []), "fault_set")
         config = cls(
             graph=parse_graph(d["graph"]),
-            f=_json_int(d["f"], "f"),
-            fault_set=frozenset(_json_int(v, "fault_set entry") for v in fault_set),
-            inputs=tuple(_json_real(x, "input") for x in _json_list(d["inputs"], "inputs")),
+            f=d["f"],
+            fault_set=frozenset(_int_value(v, "fault_set entry") for v in fault_set),
+            inputs=tuple(map(_json_number, _json_list(d["inputs"], "inputs"))),
             scheduler=SchedulerSpec(sched["kind"], sched.get("params", {})),
             byzantine=ByzantineSpec(byz["kind"], byz.get("params", {})) if byz else None,
-            seed=_json_int(d.get("seed", 0), "seed"),
-            max_rounds=_json_int(d.get("max_rounds", 1000), "max_rounds"),
-            epsilon=_json_real(d.get("epsilon", 0.0), "epsilon"),
+            seed=d.get("seed", 0),
+            max_rounds=d.get("max_rounds", 1000),
+            epsilon=_json_number(d.get("epsilon", 0.0)),
         )
-        config.check_params()
+        config.validate()
         return config
 
     @classmethod
@@ -176,23 +188,36 @@ def _json_list(value, name: str) -> list:
     return value
 
 
-def _json_int(value, name: str) -> int:
+# NaN, the infinities and integers beyond the float range all fail
+# `abs(value) <= _FLOAT_MAX` (int-to-float comparison is exact and cannot
+# overflow, where math.isfinite(10**400) raises OverflowError).
+_FLOAT_MAX = sys.float_info.max
+
+
+def _json_number(value):
+    """A JSON integer read where a real belongs, as a float; anything else,
+    an integer beyond the float range included, is left for validate() to
+    check."""
+    return float(value) if type(value) is int and abs(value) <= _FLOAT_MAX else value
+
+
+def _int_value(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _json_real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+def _real_value(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _json_nodes(value, name: str, n: int | None) -> tuple[int, ...]:
+def _node_ids(value, name: str, n: int | None) -> tuple[int, ...]:
     """A list of node ids; with `n` given, each must be below it."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of node ids, got {value!r}")
-    nodes = tuple(_json_int(v, f"{name} entry") for v in value)
+    nodes = tuple(_int_value(v, f"{name} entry") for v in value)
     for v in nodes:
         if v < 0 or (n is not None and v >= n):
             raise ValueError(f"{name} entry {v} is not a node of the graph")
@@ -225,9 +250,9 @@ def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int | None) -> dic
     if missing:
         raise ValueError(f"{what} {spec.kind!r} is missing param(s) {', '.join(map(repr, missing))}")
     return {
-        name: _json_real(value, f"{what} param {name!r}")
+        name: _real_value(value, f"{what} param {name!r}")
         if schema[name] == _REAL
-        else _json_nodes(value, f"{what} param {name!r}", n)
+        else _node_ids(value, f"{what} param {name!r}", n)
         for name, value in params.items()
     }
 
@@ -329,7 +354,12 @@ def _silent_behavior(p: dict):
     return lambda node, tag, ctx: {}
 
 
-# kind -> (params and their types, required params, behavior factory)
+# kind -> (params and their types, required params, behavior factory); the
+# first two are what SimConfig.validate checks a spec against.  The factory
+# turns the checked params into `messages(node, round_tag, context)`, a
+# faulty node's per-out-edge messages for one round tag (destinations sent
+# one value share one message).  Defaults: "split" `m_minus` m-1, `M_plus`
+# M+1, node lists `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
 _BEHAVIORS = {
     "split": (
         {"m": _REAL, "M": _REAL, "m_minus": _REAL, "M_plus": _REAL, **_SIDES},
@@ -342,28 +372,6 @@ _BEHAVIORS = {
 }
 
 
-def _byzantine_params(spec: ByzantineSpec, n: int | None = None) -> dict:
-    """The checked params of a Byzantine behavior, as finite floats and
-    tuples of node ids (ids below `n` when given).
-
-    "split": `m` and `M` (required), `m_minus` (default m-1), `M_plus`
-    (default M+1), node lists `left`, `center`, `right`.
-    "identical-wrong": `value` (required).  "random": `low` (default 0),
-    `high` (default 1).  "silent": none.  Anything else raises ValueError.
-    """
-    return _spec_params(spec, "byzantine behavior", _BEHAVIORS, n)
-
-
-def _byzantine_behavior(
-    spec: ByzantineSpec, n: int | None = None
-) -> Callable[[int, int, BehaviorContext], dict[int, RoundMessage]]:
-    """Parse a Byzantine spec once into `messages(node, round_tag, context)`,
-    the per-out-edge messages a faulty node sends for one round tag, in
-    out-neighbour order; destinations sent one value share one message."""
-    params = _byzantine_params(spec, n)
-    return _BEHAVIORS[spec.kind][2](params)
-
-
 def byzantine_values(
     behavior: ByzantineSpec, node: int, round_tag: int, context: BehaviorContext
 ) -> dict[int, float]:
@@ -373,7 +381,8 @@ def byzantine_values(
     right side, mid-range elsewhere), "identical-wrong" (one arbitrary value
     to all), "random" (seeded uniform draws), "silent" (no messages).
     """
-    messages = _byzantine_behavior(behavior)(node, round_tag, context)
+    params = _spec_params(behavior, "byzantine behavior", _BEHAVIORS, None)
+    messages = _BEHAVIORS[behavior.kind][2](params)(node, round_tag, context)
     return {dest: msg.value for dest, msg in messages.items()}
 
 
@@ -540,35 +549,22 @@ class AdaptiveDelayScheduler:
         return pm
 
 
-# kind -> ({param: type}, required params)
+# kind -> (params and their types, required params, factory of the scheduler
+# from the config and the checked params), checked as _BEHAVIORS is.  Only
+# "adaptive-delay" takes params: node lists `left`, `center`, `right`, each
+# default empty.
 _SCHEDULERS = {
-    "random": ({}, ()),
-    "fifo": ({}, ()),
-    "synchronous": ({}, ()),
-    "adaptive-delay": (_SIDES, ()),
+    "random": ({}, (), lambda config, p: RandomScheduler(config.seed)),
+    "fifo": ({}, (), lambda config, p: FifoScheduler(config.seed)),
+    "synchronous": ({}, (), lambda config, p: SynchronousScheduler()),
+    "adaptive-delay": (
+        _SIDES,
+        (),
+        lambda config, p: AdaptiveDelayScheduler(
+            config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
+        ),
+    ),
 }
-
-
-def _scheduler_params(spec: SchedulerSpec, n: int | None = None) -> dict:
-    """The checked params of a scheduler: "adaptive-delay" takes the node
-    lists `left`, `center` and `right` (ids below `n` when given, each
-    default empty); "random", "fifo" and "synchronous" take none.  Anything
-    else raises ValueError."""
-    return _spec_params(spec, "scheduler", _SCHEDULERS, n)
-
-
-def make_scheduler(config: SimConfig):
-    spec = config.scheduler
-    p = _scheduler_params(spec, config.graph.n)
-    if spec.kind == "random":
-        return RandomScheduler(config.seed)
-    if spec.kind == "fifo":
-        return FifoScheduler(config.seed)
-    if spec.kind == "synchronous":
-        return SynchronousScheduler()
-    return AdaptiveDelayScheduler(
-        config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +582,7 @@ def run_simulation(config: SimConfig) -> Trace:
     delivery runs process_ready only when the message it stored fills the
     awaited slot to exactly `expected_count`: any other delivery leaves
     readiness unchanged."""
-    config.validate()
+    scheduler_params, byzantine_params = config.validate()
     g, f = config.graph, config.f
     faulty = config.fault_set
     max_rounds, epsilon = config.max_rounds, config.epsilon
@@ -598,9 +594,9 @@ def run_simulation(config: SimConfig) -> Trace:
     rounds = {v: states[v].round for v in g.nodes}
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
     deliveries: list[Delivery] = []
-    scheduler = make_scheduler(config)
+    scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
     push, pop = scheduler.push, scheduler.pop
-    behavior = _byzantine_behavior(config.byzantine, g.n) if faulty else None
+    behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params) if faulty else None
     contexts = {v: BehaviorContext(states[v].out_nbrs, config.seed) for v in faulty}
     seq = 0  # messages sent; seq - vt of them are pending
     vt = 0
@@ -767,15 +763,6 @@ class TraceMetrics:
     @property
     def all_valid(self) -> bool:
         return all(self.validity_per_round)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": len(self.spreads) - 1,
-            "initial_spread": self.spreads[0],
-            "final_spread": self.spreads[-1],
-            "first_converged_round": self.first_converged_round,
-            "validity_ok": self.all_valid,
-        }
 
 
 def value_levels(values: dict[int, list[float]]) -> tuple[list[float], list[float], list[bool]]:

@@ -52,6 +52,22 @@ class TestGenerateGraph:
         with pytest.raises(ValueError, match=f"{kind} graph is missing parameter '{name}'"):
             generate_graph(kind, params)
 
+    @pytest.mark.parametrize(
+        "kind, params, name, expected",
+        [
+            ("complete", {"n": 2.7}, "n", "an integer"),
+            ("complete", {"n": True}, "n", "an integer"),
+            ("cycle", {"n": "5"}, "n", "an integer"),
+            ("random-uniform", {"n": 4.0, "p": 0.5}, "n", "an integer"),
+            ("random-uniform", {"n": 4, "p": "0.5"}, "p", "a real number"),
+            ("random-uniform", {"n": 4, "p": True}, "p", "a real number"),
+            ("random-uniform", {"n": 4, "p": None}, "p", "a real number"),
+        ],
+    )
+    def test_mistyped_parameter(self, kind, params, name, expected):
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be {expected}"):
+            generate_graph(kind, params)
+
     def test_counterexample_k5(self):
         g = generate_graph("counterexample-k5")
         assert g.n == 5 and len(g.edges) == 20

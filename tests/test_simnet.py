@@ -90,6 +90,7 @@ class TestConfigValidation:
             ("fault_set", [5.0], "fault_set entry must be an integer"),
             ("inputs", [float("nan")] + [0.0] * 5, "input must be a finite number"),
             ("inputs", [float("inf")] + [0.0] * 5, "input must be a finite number"),
+            ("inputs", [10**400] + [0.0] * 5, "input must be a finite number"),
             ("inputs", [True] + [0.0] * 5, "input must be a finite number"),
             ("inputs", ["0.5"] + [0.0] * 5, "input must be a finite number"),
             ("epsilon", float("nan"), "epsilon must be a finite number"),
@@ -121,6 +122,7 @@ class TestConfigValidation:
             (lambda d: d["byzantine"].update(params=[1]), "byzantine params must be a JSON object"),
             (lambda d: d.update(inputs=0.5), "inputs must be a list"),
             (lambda d: d.update(fault_set=5), "fault_set must be a list"),
+            (lambda d: d.update(fault_set=[4, 5]), "exceeds f"),
         ],
     )
     def test_json_rejects_missing_or_unknown_field(self, edit, message):
@@ -164,6 +166,36 @@ class TestConfigValidation:
         cfg = k6_config(scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 9]}))
         with pytest.raises(ValueError, match="entry 9 is not a node"):
             run_simulation(cfg)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(inputs=(float("nan"),) + (0.0,) * 5), "input must be a finite number"),
+            (dict(inputs=(float("inf"),) + (0.0,) * 5), "input must be a finite number"),
+            (dict(epsilon=float("nan")), "epsilon must be a finite number"),
+            (dict(epsilon=10**400), "epsilon must be a finite number"),
+            (dict(seed=1.5), "seed must be an integer"),
+            (dict(max_rounds=2.5), "max_rounds must be an integer"),
+            (dict(f=True), "f must be an integer"),
+            (dict(fault_set=frozenset({1.0})), "fault_set entry must be an integer"),
+        ],
+    )
+    def test_python_built_config_checked_like_json(self, edit, message):
+        cfg = k6_config(behavior=ByzantineSpec("silent"), **edit)
+        with pytest.raises(ValueError, match=message):
+            run_simulation(cfg)
+
+    def test_validate_returns_checked_params(self):
+        cfg = k6_config(
+            fault=frozenset({5}),
+            behavior=ByzantineSpec("split", {"m": 0, "M": 1, "left": [0, 1]}),
+            scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 1], "right": [3]}),
+        )
+        scheduler, byzantine = cfg.validate()
+        assert scheduler == {"left": (0, 1), "right": (3,)}
+        assert byzantine == {"m": 0.0, "M": 1.0, "left": (0, 1)}
+        assert all(type(byzantine[name]) is float for name in ("m", "M"))
+        assert k6_config().validate() == ({}, None)
 
     def test_attack_config_roundtrips(self, k5):
         w = check_partition_condition(k5, 1, "async").witness
