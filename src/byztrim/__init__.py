@@ -1,15 +1,7 @@
 """Robustness conditions and adversarial simulation for iterative
 trim-and-average Byzantine consensus on directed graphs."""
 
-from byztrim.digraph import (
-    Condensation,
-    Digraph,
-    GraphError,
-    ReducedGraph,
-    condensation,
-    parse_graph,
-    source_components,
-)
+from byztrim.digraph import Digraph, GraphError, parse_graph
 from byztrim.conditions import (
     ConditionReport,
     DegreeViolation,
@@ -46,7 +38,6 @@ from byztrim.harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condensation",
     "ConditionReport",
     "ByzantineSpec",
     "DegreeViolation",
@@ -57,7 +48,6 @@ __all__ = [
     "Partition",
     "PropagationTrace",
     "ProtocolError",
-    "ReducedGraph",
     "RoundMessage",
     "SchedulerSpec",
     "SimConfig",
@@ -70,7 +60,6 @@ __all__ = [
     "check_reduced_graph_condition",
     "check_source_component_size",
     "compute_alpha",
-    "condensation",
     "generate_graph",
     "in_set",
     "init_node",
@@ -80,7 +69,6 @@ __all__ = [
     "reaches",
     "run_experiment",
     "run_simulation",
-    "source_components",
     "trace_metrics",
     "verify_contraction",
 ]

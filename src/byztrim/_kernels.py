@@ -3,7 +3,8 @@
 These are the hot inner loops of the robustness checks over bitmask
 graphs: the pruned depth-first partition search and the incremental
 reduced-graph sweep.  Both carry a search budget and are cross-checked
-against the naive enumerations in the test oracles.
+against the naive enumerations in the test oracles.  `source_components`
+names the source components of a failing reduction for its witness.
 
 Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
 part of the contract:
@@ -29,10 +30,10 @@ import itertools
 # perfbench/run.py records this in every result; there is no other backend.
 BACKEND = "pure"
 
-# failing_reduction status codes
-PASS = 0
-FAIL = 1
-BUDGET_EXCEEDED = 2
+# Search verdicts, as reports and the CLI print them.
+PASS = "pass"
+FAIL = "fail"
+BUDGET_EXCEEDED = "budget-exceeded"
 
 
 def _fault_masks(n: int, f: int) -> list[int]:
@@ -80,7 +81,7 @@ def _twin_predecessors(n: int, in_masks: tuple[int, ...], out_masks: list[int]) 
 
 def violating_partition(
     n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
-) -> tuple[int, int, tuple[int, int, int, int] | None]:
+) -> tuple[str, int, tuple[int, int, int, int] | None]:
     """First partition (F, L, C, R) with |F| <= f, L and R non-empty, where
     no node of L has >= r in-neighbours in C|R and no node of R has >= r
     in-neighbours in L|C.
@@ -183,7 +184,7 @@ def failing_reduction(
     f: int,
     min_source_size: int,
     budget: int,
-) -> tuple[int, int, tuple[int, dict[int, int]] | None]:
+) -> tuple[str, int, tuple[int, dict[int, int]] | None]:
     """Search reduced graphs for one whose source components violate the
     requirement, examining only minimal reductions (exactly min(f, in-degree)
     extra in-edges removed per node).
@@ -270,3 +271,27 @@ def failing_reduction(
                 combo.reverse()
                 return (FAIL, examined, (f_mask, dict(zip(survivors, combo))))
     return (PASS, examined, None)
+
+
+def source_components(kept_in: dict[int, int]) -> list[int]:
+    """Source components of the graph on the nodes of `kept_in`, whose
+    in-neighbours are given as bitmasks, as member bitmasks ordered by
+    smallest member.
+
+    anc[v], the nodes that reach v, is computed as a fixpoint over the
+    in-masks.  Nothing outside a source component reaches it, so anc[v] is a
+    source component exactly when every node in it has the same anc.
+    """
+    anc = {v: 1 << v for v in kept_in}
+    changed = True
+    while changed:
+        changed = False
+        for v, ins in kept_in.items():
+            a = anc[v]
+            for u in _bits(ins):
+                a |= anc[u]
+            if a != anc[v]:
+                anc[v] = a
+                changed = True
+    sources = {a for a in anc.values() if all(anc[u] == a for u in _bits(a))}
+    return sorted(sources, key=lambda m: m & -m)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from byztrim import _kernels
-from byztrim.digraph import Condensation, Digraph, ReducedGraph, condensation, source_components
+from byztrim.digraph import Digraph
 
 SYNC = "sync"
 ASYNC = "async"
@@ -54,14 +54,7 @@ def threshold(f: int, mode: str) -> int:
 
 
 def _unmask(mask: int) -> frozenset[int]:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(_kernels._bits(mask))
 
 
 @dataclass(frozen=True)
@@ -120,19 +113,18 @@ class DegreeViolation:
 
 @dataclass(frozen=True)
 class ReductionWitness:
-    """A failing reduced graph together with its condensation."""
+    """A failing reduced graph: the fault set F, the edges kept among the
+    other nodes, and its source components ordered by smallest member."""
 
-    reduction: ReducedGraph
-    condensation: Condensation
-    sources: frozenset[int]
+    faulty: frozenset[int]
+    kept_edges: frozenset[tuple[int, int]]
+    source_components: tuple[frozenset[int], ...]
 
     def to_json_dict(self) -> dict:
         return {
-            "F": sorted(self.reduction.removed),
-            "kept_edges": [list(e) for e in sorted(self.reduction.kept_edges)],
-            "source_components": [
-                sorted(self.condensation.components[i]) for i in sorted(self.sources)
-            ],
+            "F": sorted(self.faulty),
+            "kept_edges": [list(e) for e in sorted(self.kept_edges)],
+            "source_components": [sorted(c) for c in self.source_components],
         }
 
 
@@ -145,11 +137,10 @@ class ConditionReport:
     mode: str
     r: int
     f: int
-    witness: Partition | None = None
-    reduction_witness: ReductionWitness | None = None
+    examined: int
+    budget: int
+    witness: Partition | ReductionWitness | None = None
     degree_violations: tuple[DegreeViolation, ...] = ()
-    examined: int | None = None
-    budget: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -164,14 +155,10 @@ class ConditionReport:
             "f": self.f,
             "witness": self.witness.to_json_dict() if self.witness else None,
         }
-        if self.reduction_witness is not None:
-            d["witness"] = self.reduction_witness.to_json_dict()
         if self.degree_violations:
             d["degree_violations"] = [v.to_json_dict() for v in self.degree_violations]
-        if self.examined is not None:
-            d["examined"] = self.examined
-        if self.budget is not None:
-            d["budget"] = self.budget
+        d["examined"] = self.examined
+        d["budget"] = self.budget
         return d
 
 
@@ -287,37 +274,26 @@ def check_partition_condition(
         # Cheap filter first; the search below remains the source of truth
         # and supplies the witness.
         violations = tuple(quick_degree_checks(g, f))
-    status, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
-    common = dict(degree_violations=violations, examined=examined, budget=budget)
-    if status == _kernels.PASS:
-        return ConditionReport("pass", "partition", mode, r, f, **common)
-    if status == _kernels.BUDGET_EXCEEDED:
-        return ConditionReport("budget-exceeded", "partition", mode, r, f, **common)
-    f_mask, l_mask, c_mask, r_mask = hit
-    witness = Partition(_unmask(f_mask), _unmask(l_mask), _unmask(c_mask), _unmask(r_mask))
-    return ConditionReport("fail", "partition", mode, r, f, witness=witness, **common)
+    verdict, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
+    witness = Partition(*map(_unmask, hit)) if hit else None
+    return ConditionReport(verdict, "partition", mode, r, f, examined, budget, witness, violations)
 
 
 def _reduction_report(
     g: Digraph, f: int, check: str, min_source_size: int, budget: int
 ) -> ConditionReport:
-    status, examined, payload = _kernels.failing_reduction(
+    verdict, examined, hit = _kernels.failing_reduction(
         g.n, g.in_masks(), f, min_source_size, budget
     )
-    common = dict(mode=SYNC, r=f + 1, f=f, examined=examined, budget=budget)
-    if status == _kernels.PASS:
-        return ConditionReport("pass", check, **common)
-    if status == _kernels.BUDGET_EXCEEDED:
-        return ConditionReport("budget-exceeded", check, **common)
-    f_mask, kept_in = payload
-    removed = _unmask(f_mask)
-    kept_edges = frozenset(
-        (u, v) for v, mask in kept_in.items() for u in _unmask(mask)
-    )
-    reduction = ReducedGraph(g, removed, kept_edges)
-    cond = condensation(reduction)
-    witness = ReductionWitness(reduction, cond, frozenset(source_components(cond)))
-    return ConditionReport("fail", check, reduction_witness=witness, **common)
+    witness = None
+    if hit:
+        f_mask, kept_in = hit
+        witness = ReductionWitness(
+            _unmask(f_mask),
+            frozenset((u, v) for v, mask in kept_in.items() for u in _kernels._bits(mask)),
+            tuple(map(_unmask, _kernels.source_components(kept_in))),
+        )
+    return ConditionReport(verdict, check, SYNC, f + 1, f, examined, budget, witness)
 
 
 def check_reduced_graph_condition(

@@ -815,8 +815,8 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
 def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
     column (an empty file lacks all three), a row with too few fields, a
-    repeated (round, nodeId) pair or a gap in a node's rounds raises
-    ValueError; blank lines are skipped."""
+    value that is not finite, a repeated (round, nodeId) pair or a gap in a
+    node's rounds raises ValueError; blank lines are skipped."""
     values: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -833,7 +833,10 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
             by_round = values.setdefault(node, {})
             if t in by_round:
                 raise ValueError(f"trace CSV line {reader.line_num} repeats round {t} of node {node}")
-            by_round[t] = float(row[at_value])
+            value = float(row[at_value])
+            if not abs(value) <= _FLOAT_MAX:
+                raise ValueError(f"trace CSV line {reader.line_num} has non-finite value {row[at_value]!r}")
+            by_round[t] = value
     out = {}
     for node, by_round in values.items():
         seq = [by_round[t] for t in sorted(by_round)]

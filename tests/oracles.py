@@ -214,16 +214,22 @@ def _all_reduced_in_sets(g: Digraph, fs: tuple[int, ...], f: int):
         yield dict(zip(survivors, combo))
 
 
-def _source_component_sizes(kept_in: dict[int, set[int]]) -> list[int]:
+def nx_source_components(nodes, edges) -> list[frozenset[int]]:
+    """Source components of the graph (nodes, edges) by networkx
+    condensation, ordered by smallest member."""
     dg = nx.DiGraph()
-    dg.add_nodes_from(kept_in)
-    for v, nbrs in kept_in.items():
-        for u in nbrs:
-            dg.add_edge(u, v)
+    dg.add_nodes_from(nodes)
+    dg.add_edges_from(edges)
     cond = nx.condensation(dg)
-    return [
-        len(cond.nodes[c]["members"]) for c in cond.nodes if cond.in_degree(c) == 0
-    ]
+    return sorted(
+        (frozenset(cond.nodes[c]["members"]) for c in cond.nodes if cond.in_degree(c) == 0),
+        key=min,
+    )
+
+
+def _source_component_sizes(kept_in: dict[int, set[int]]) -> list[int]:
+    edges = [(u, v) for v, nbrs in kept_in.items() for u in nbrs]
+    return [len(c) for c in nx_source_components(kept_in, edges)]
 
 
 def naive_reduced_verdict(g: Digraph, f: int) -> str:
@@ -278,19 +284,6 @@ def naive_failing_reduction(g: Digraph, f: int, min_source_size: int, budget: in
                 if len(sizes) != 1 or sizes[0] < min_source_size:
                     return ("fail", examined, (set(fs), kept_in))
     return ("pass", examined, None)
-
-
-def nx_condense(g: Digraph):
-    """networkx condensation as (components sorted by min member, dag edge set)."""
-    dg = nx.DiGraph()
-    dg.add_nodes_from(g.nodes)
-    dg.add_edges_from(g.edges)
-    cond = nx.condensation(dg)
-    comps = sorted((frozenset(cond.nodes[c]["members"]) for c in cond.nodes), key=min)
-    index = {comp: i for i, comp in enumerate(comps)}
-    mapping = {c: index[frozenset(cond.nodes[c]["members"])] for c in cond.nodes}
-    dag = {(mapping[a], mapping[b]) for a, b in cond.edges}
-    return comps, dag
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,23 @@ class TestCheck:
         assert "self-loop" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"n": 3, "edges": [[true, 0]]}', "edge endpoints must be integers"),
+            ('{"n": 6, "edge": [[0, 1]]}', "unknown field(s) 'edge'"),
+        ],
+    )
+    def test_graph_document_boundary(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        rc = main(["check", str(bad), "--f", "0", "--mode", "sync"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestEquiv:
     def test_exhaustive_n2(self, capsys):
         rc = main(["equiv", "--n", "2", "--f", "1", "--exhaustive"])
@@ -328,6 +345,19 @@ class TestRunVerify:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.strip() == message
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_verify_rejects_non_finite_values(self, tmp_path, k6_file, capsys, bad):
+        # Node 0 holds a non-finite value for 12 rounds; the rest sit still.
+        trace_path = tmp_path / "bad.csv"
+        rows = ["round,nodeId,value"]
+        rows += [f"{t},{v},{bad if v == 0 else v / 4}" for t in range(12) for v in range(5)]
+        trace_path.write_text("\n".join(rows) + "\n")
+        rc = main(["verify", str(trace_path), "--graph", str(k6_file), "--f", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: trace CSV line 2 has non-finite value '{bad}'"
 
     def test_verify_budget_exceeded(self, tmp_path, k6_file, capsys, tiny_budget):
         rc = main(["verify", str(tmp_path / "t.csv"), "--graph", str(k6_file), "--f", "1"])

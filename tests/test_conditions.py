@@ -6,6 +6,7 @@ import pytest
 
 from byztrim.conditions import (
     Partition,
+    ReductionWitness,
     check_partition_condition,
     check_reduced_graph_condition,
     check_source_component_size,
@@ -15,13 +16,14 @@ from byztrim.conditions import (
     reaches,
     threshold,
 )
-from byztrim.digraph import Digraph, condensation, source_components
+from byztrim.digraph import Digraph
 from conftest import random_digraph
 from oracles import (
     naive_reaches,
     naive_reduced_verdict,
     naive_source_size_verdict,
     naive_violating_partition,
+    nx_source_components,
 )
 
 
@@ -178,13 +180,10 @@ class TestReducedGraphCondition:
     def test_directed_cycle_fails(self, cycle3):
         report = check_reduced_graph_condition(cycle3, 1)
         assert report.verdict == "fail"
-        w = report.reduction_witness
-        assert w is not None
-        assert len(w.sources) == 3
-        w.reduction.check_invariants(1)
-        # Recompute the witness condensation from scratch.
-        cond = condensation(w.reduction)
-        assert source_components(cond) == set(w.sources)
+        # Each node drops its one in-edge, leaving three singleton sources.
+        assert report.witness == ReductionWitness(
+            frozenset(), frozenset(), (frozenset({0}), frozenset({1}), frozenset({2}))
+        )
 
     def test_k4_matches_sync_partition_check(self, k4):
         assert check_reduced_graph_condition(k4, 1).verdict == check_partition_condition(k4, 1, "sync").verdict == "pass"
@@ -201,6 +200,34 @@ class TestReducedGraphCondition:
             g = random_digraph(rng.randrange(1, 5), rng.choice([0.3, 0.6, 0.9]), rng)
             f = rng.randrange(0, 2)
             assert check_reduced_graph_condition(g, f).verdict == naive_reduced_verdict(g, f)
+
+
+class TestReductionWitness:
+    @pytest.mark.parametrize("check", [check_reduced_graph_condition, check_source_component_size])
+    def test_failing_witness_is_a_reduction_with_its_sources(self, check):
+        rng = random.Random(21)
+        failing = 0
+        for _ in range(400):
+            g = random_digraph(rng.randint(1, 6), rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+            f = rng.randint(0, 2)
+            report = check(g, f)
+            if report.verdict != "fail":
+                continue
+            failing += 1
+            w = report.witness
+            survivors = set(g.nodes) - w.faulty
+            assert len(w.faulty) <= f
+            # Kept edges lie within the graph minus F, and no survivor loses
+            # more than f of its in-edges from outside F.
+            assert w.kept_edges <= {(u, v) for (u, v) in g.edges if u in survivors and v in survivors}
+            for v in survivors:
+                kept = {u for (u, x) in w.kept_edges if x == v}
+                assert len(g.in_nbrs[v] - w.faulty) - len(kept) <= f
+            assert list(w.source_components) == nx_source_components(survivors, w.kept_edges)
+            # The reduction breaks what the check asks for.
+            need = f + 1 if check is check_source_component_size else 1
+            assert len(w.source_components) != 1 or len(w.source_components[0]) < need
+        assert failing > 100
 
 
 class TestSourceComponentSize:

@@ -5,15 +5,15 @@ import random
 
 import pytest
 
-from byztrim.digraph import (
-    Digraph,
-    GraphError,
-    condensation,
-    parse_graph,
-    source_components,
-)
+from byztrim._kernels import _bits, source_components
+from byztrim.digraph import Digraph, GraphError, parse_graph
 from conftest import complete, random_digraph
-from oracles import nx_condense
+from oracles import nx_source_components
+
+
+def sources_of(g: Digraph) -> list[frozenset[int]]:
+    """Source components of the whole graph by the bitmask kernel."""
+    return [frozenset(_bits(m)) for m in source_components(dict(enumerate(g.in_masks())))]
 
 
 class TestParseGraph:
@@ -53,6 +53,27 @@ class TestParseGraph:
         assert g.f_hint == 1
         assert g.to_dict()["f"] == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "edges": [[True, 0]]},
+            {"n": 3, "edges": [[0, False]]},
+        ],
+    )
+    def test_booleans_rejected(self, doc):
+        with pytest.raises(GraphError, match="integer"):
+            parse_graph(json.dumps(doc))
+
+    def test_boolean_arguments_rejected(self):
+        with pytest.raises(GraphError, match="node count"):
+            Digraph(True, [])
+        with pytest.raises(GraphError, match="endpoints"):
+            Digraph(3, [(1, True)])
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(GraphError, match="unknown field\\(s\\) 'edge'"):
+            parse_graph('{"n": 6, "edge": [[0, 1]]}')
+
     def test_roundtrip(self):
         g = complete(4)
         assert parse_graph(json.dumps(g.to_dict())) == g
@@ -66,52 +87,45 @@ class TestParseGraph:
 
 class TestCondensation:
     def test_cycle_is_one_component(self, cycle3):
-        c = condensation(cycle3)
-        assert c.components == (frozenset({0, 1, 2}),)
-        assert c.dag_edges == frozenset()
+        assert sources_of(cycle3) == [frozenset({0, 1, 2})]
 
     def test_chain_has_singletons(self, chain3):
-        c = condensation(chain3)
-        assert c.components == (frozenset({0}), frozenset({1}), frozenset({2}))
-        assert c.dag_edges == frozenset({(0, 1), (1, 2)})
+        assert sources_of(chain3) == [frozenset({0})]
+        assert sources_of(Digraph(3, [(2, 1), (1, 0)])) == [frozenset({2})]
 
     def test_two_two_cycles_joined(self):
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)])
-        c = condensation(g)
-        assert c.components == (frozenset({0, 1}), frozenset({2, 3}))
-        assert c.dag_edges == frozenset({(0, 1)})
+        assert sources_of(g) == [frozenset({0, 1})]
 
     def test_matches_networkx_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(60):
             g = random_digraph(rng.randrange(1, 9), rng.choice([0.2, 0.4, 0.7]), rng)
-            c = condensation(g)
-            comps, dag = nx_condense(g)
-            assert list(c.components) == comps
-            assert set(c.dag_edges) == dag
-            assert source_components(c)  # a finite DAG always has a source
+            sources = sources_of(g)
+            assert sources == nx_source_components(g.nodes, g.edges)
+            assert sources  # a finite DAG always has a source
 
-    def test_idempotent_on_acyclic_singletons(self):
-        # Condensing a condensation DAG (as a plain graph) changes nothing.
+    def test_acyclic_sources_are_the_unreached_nodes(self):
         rng = random.Random(5)
         for _ in range(20):
-            g = random_digraph(rng.randrange(2, 8), 0.5, rng)
-            c = condensation(g)
-            dag = Digraph(len(c.components), sorted(c.dag_edges))
-            again = condensation(dag)
-            assert again.components == tuple(frozenset({i}) for i in range(dag.n))
-            assert again.dag_edges == frozenset(dag.edges)
+            n = rng.randrange(2, 8)
+            order = rng.sample(range(n), n)
+            g = Digraph(n, [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+            assert sources_of(g) == [frozenset({v}) for v in g.nodes if not g.in_nbrs[v]]
+
+    def test_only_the_given_nodes_count(self):
+        # Nodes 0 and 2 (a fault set) are absent; 1 <-> 3 is the one source.
+        assert source_components({1: 0b1000, 3: 0b0010, 4: 0b0010}) == [0b1010]
 
 
 class TestSourceComponents:
     def test_single_component(self, cycle3):
-        assert source_components(condensation(cycle3)) == {0}
+        assert len(sources_of(cycle3)) == 1
 
     def test_chain_source_is_head(self, chain3):
-        c = condensation(chain3)
-        (src,) = source_components(c)
-        assert c.components[src] == frozenset({0})
+        (src,) = sources_of(chain3)
+        assert src == frozenset({0})
 
     def test_disjoint_cycles_are_both_sources(self):
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert source_components(condensation(g)) == {0, 1}
+        assert sources_of(g) == [frozenset({0, 1}), frozenset({2, 3})]
