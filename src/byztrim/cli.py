@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError, simnet.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

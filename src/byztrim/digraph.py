@@ -35,7 +35,10 @@ class Digraph:
         ins: list[set[int]] = [set() for _ in range(n)]
         outs: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
-            i, j = e
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge must be a pair of node ids, got {e!r}") from None
             if not (_is_int(i) and _is_int(j)):
                 raise GraphError(f"edge endpoints must be integers, got {e!r}")
             if not (0 <= i < n and 0 <= j < n):

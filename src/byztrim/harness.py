@@ -83,27 +83,20 @@ class ContractionReport:
     first_violation_round: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "window": self.window,
-            "theoretical_factor": self.theoretical_factor,
-            "observed_worst_factor": self.observed_worst_factor,
-            "rounds_checked": self.rounds_checked,
-            "first_violation_round": self.first_violation_round,
-        }
+        return dataclasses.asdict(self)
 
 
 def verify_contraction(
-    trace: Trace | Sequence[float], alpha: Fraction | float, n: int, f: int
+    spreads: Sequence[float], alpha: Fraction | float, n: int, f: int
 ) -> tuple[bool, ContractionReport]:
-    """Check the guaranteed geometric shrink of the fault-free spread.
+    """Check the guaranteed geometric shrink of the fault-free spread, given
+    per round (a Trace's `spreads`, or U - mu from a trace CSV).
 
     With window length L = n-f-1, the spread at round t must not exceed
     (1 - alpha^L/2)^floor(t/L) times the initial spread (plus a small
     absolute slack for float accumulation).  Also reports the worst
     per-window shrink factor actually observed.
     """
-    spreads = list(trace.spreads) if isinstance(trace, Trace) else list(trace)
     if not spreads:
         raise ValueError("trace has no rounds")
     window = n - f - 1

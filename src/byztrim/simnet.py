@@ -213,13 +213,13 @@ def _real_value(value, name: str) -> float:
     return float(value)
 
 
-def _node_ids(value, name: str, n: int | None) -> tuple[int, ...]:
-    """A list of node ids; with `n` given, each must be below it."""
+def _node_ids(value, name: str, n: int) -> tuple[int, ...]:
+    """A list of node ids, each in range(n)."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of node ids, got {value!r}")
     nodes = tuple(_int_value(v, f"{name} entry") for v in value)
     for v in nodes:
-        if v < 0 or (n is not None and v >= n):
+        if not 0 <= v < n:
             raise ValueError(f"{name} entry {v} is not a node of the graph")
     return nodes
 
@@ -228,7 +228,7 @@ _REAL, _NODES = "real", "nodes"
 _SIDES = {"left": _NODES, "center": _NODES, "right": _NODES}
 
 
-def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int | None) -> dict:
+def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int) -> dict:
     """Check a spec's params against its kind's entry in `kinds`, which
     starts with ({param: _REAL or _NODES}, required params), and return
     them converted: finite floats and tuples of node ids.  Raises
@@ -306,12 +306,6 @@ class Trace:
 # Byzantine behaviors
 
 
-@dataclass(frozen=True)
-class BehaviorContext:
-    out_neighbors: tuple[int, ...]
-    seed: int
-
-
 def _derived_rng(seed: int, node: int, tag: int) -> random.Random:
     mix = (
         seed * 0x9E3779B97F4A7C15 + node * 0xBF58476D1CE4E5B9 + tag * 0x94D049BB133111EB + 1
@@ -319,7 +313,7 @@ def _derived_rng(seed: int, node: int, tag: int) -> random.Random:
     return random.Random(mix)
 
 
-def _split_behavior(p: dict):
+def _split_behavior(p: dict, seed: int):
     m, big_m = p["m"], p["M"]
     low = p.get("m_minus", m - 1.0)
     high = p.get("M_plus", big_m + 1.0)
@@ -327,39 +321,40 @@ def _split_behavior(p: dict):
     left = set(p.get("left", ()))
     right = set(p.get("right", ()))
 
-    def messages(node: int, tag: int, ctx: BehaviorContext) -> dict[int, RoundMessage]:
+    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> dict[int, RoundMessage]:
         lo, hi, md = (RoundMessage(node, tag, x) for x in (low, high, mid))
-        return {dest: lo if dest in left else hi if dest in right else md for dest in ctx.out_neighbors}
+        return {dest: lo if dest in left else hi if dest in right else md for dest in out_nbrs}
 
     return messages
 
 
-def _identical_wrong_behavior(p: dict):
+def _identical_wrong_behavior(p: dict, seed: int):
     value = p["value"]
-    return lambda node, tag, ctx: dict.fromkeys(ctx.out_neighbors, RoundMessage(node, tag, value))
+    return lambda node, tag, out_nbrs: dict.fromkeys(out_nbrs, RoundMessage(node, tag, value))
 
 
-def _random_behavior(p: dict):
+def _random_behavior(p: dict, seed: int):
     low = p.get("low", 0.0)
     high = p.get("high", 1.0)
 
-    def messages(node: int, tag: int, ctx: BehaviorContext) -> dict[int, RoundMessage]:
-        rng = _derived_rng(ctx.seed, node, tag)
-        return {dest: RoundMessage(node, tag, rng.uniform(low, high)) for dest in ctx.out_neighbors}
+    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> dict[int, RoundMessage]:
+        rng = _derived_rng(seed, node, tag)
+        return {dest: RoundMessage(node, tag, rng.uniform(low, high)) for dest in out_nbrs}
 
     return messages
 
 
-def _silent_behavior(p: dict):
-    return lambda node, tag, ctx: {}
+def _silent_behavior(p: dict, seed: int):
+    return lambda node, tag, out_nbrs: {}
 
 
 # kind -> (params and their types, required params, behavior factory); the
 # first two are what SimConfig.validate checks a spec against.  The factory
-# turns the checked params into `messages(node, round_tag, context)`, a
-# faulty node's per-out-edge messages for one round tag (destinations sent
-# one value share one message).  Defaults: "split" `m_minus` m-1, `M_plus`
-# M+1, node lists `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
+# turns the checked params and the run's seed into
+# `messages(node, round_tag, out_nbrs)`, a faulty node's per-out-edge
+# messages for one round tag (destinations sent one value share one
+# message).  Defaults: "split" `m_minus` m-1, `M_plus` M+1, node lists
+# `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
 _BEHAVIORS = {
     "split": (
         {"m": _REAL, "M": _REAL, "m_minus": _REAL, "M_plus": _REAL, **_SIDES},
@@ -372,17 +367,20 @@ _BEHAVIORS = {
 }
 
 
-def byzantine_values(
-    behavior: ByzantineSpec, node: int, round_tag: int, context: BehaviorContext
-) -> dict[int, float]:
-    """Per-out-edge values a faulty node sends for one round tag.
+def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, float]:
+    """Per-out-edge values that faulty `node` of a run of `config` sends for
+    one round tag, as the run sends them.  Raises ValueError where
+    config.validate() does, or when `node` is not in the fault set.
 
     Behaviors: "split" (below-range to the left side, above-range to the
     right side, mid-range elsewhere), "identical-wrong" (one arbitrary value
     to all), "random" (seeded uniform draws), "silent" (no messages).
     """
-    params = _spec_params(behavior, "byzantine behavior", _BEHAVIORS, None)
-    messages = _BEHAVIORS[behavior.kind][2](params)(node, round_tag, context)
+    _, params = config.validate()
+    if node not in config.fault_set:
+        raise ValueError(f"node {node!r} is not in the fault set")
+    behavior = _BEHAVIORS[config.byzantine.kind][2](params, config.seed)
+    messages = behavior(node, round_tag, tuple(sorted(config.graph.out_nbrs[node])))
     return {dest: msg.value for dest, msg in messages.items()}
 
 
@@ -596,8 +594,7 @@ def run_simulation(config: SimConfig) -> Trace:
     deliveries: list[Delivery] = []
     scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
     push, pop = scheduler.push, scheduler.pop
-    behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params) if faulty else None
-    contexts = {v: BehaviorContext(states[v].out_nbrs, config.seed) for v in faulty}
+    behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
     seq = 0  # messages sent; seq - vt of them are pending
     vt = 0
 
@@ -605,7 +602,7 @@ def run_simulation(config: SimConfig) -> Trace:
         nonlocal seq
         st = states[v]
         if v in faulty:
-            outgoing = behavior(v, st.round - 1, contexts[v]).items()
+            outgoing = behavior(v, st.round - 1, st.out_nbrs).items()
         else:
             outgoing = st.outgoing_messages()
         for dest, msg in outgoing:
@@ -695,7 +692,6 @@ def build_attack_config(
     m: float,
     big_m: float,
     max_rounds: int = 1000,
-    seed: int = 0,
 ) -> SimConfig:
     """Instantiate the convergence-blocking attack for a violating partition:
     left side starts at m, right side at M, faulty nodes split-send out-of-range
@@ -716,25 +712,13 @@ def build_attack_config(
     for v in sorted(partition.right):
         if len(g.in_nbrs[v] & (partition.left | partition.center)) >= r:
             raise ValueError(f"partition does not violate the condition: right node {v} has >= {r} cross in-edges")
-    mid = (m + big_m) / 2.0
-    inputs = []
-    for v in g.nodes:
-        if v in partition.left:
-            inputs.append(float(m))
-        elif v in partition.right:
-            inputs.append(float(big_m))
-        else:
-            inputs.append(mid)
-    sides = {
-        "left": sorted(partition.left),
-        "center": sorted(partition.center),
-        "right": sorted(partition.right),
-    }
+    levels = {**dict.fromkeys(partition.left, float(m)), **dict.fromkeys(partition.right, float(big_m))}
+    sides = {side: sorted(getattr(partition, side)) for side in ("left", "center", "right")}
     return SimConfig(
         graph=g,
         f=f,
         fault_set=partition.faulty,
-        inputs=tuple(inputs),
+        inputs=tuple(levels.get(v, (m + big_m) / 2.0) for v in g.nodes),
         scheduler=SchedulerSpec("adaptive-delay", dict(sides)),
         byzantine=ByzantineSpec(
             "split",
@@ -742,9 +726,7 @@ def build_attack_config(
         )
         if partition.faulty
         else None,
-        seed=seed,
         max_rounds=max_rounds,
-        epsilon=0.0,
     )
 
 
@@ -754,10 +736,6 @@ def build_attack_config(
 
 @dataclass(frozen=True)
 class TraceMetrics:
-    u_levels: tuple[float, ...]
-    mu_levels: tuple[float, ...]
-    spreads: tuple[float, ...]
-    first_converged_round: int | None
     validity_per_round: tuple[bool, ...]  # index t checks round t against t-1
 
     @property
@@ -765,30 +743,28 @@ class TraceMetrics:
         return all(self.validity_per_round)
 
 
+def _validity(u: list[float], mu: list[float]) -> list[bool]:
+    """Index t: round t's maximum did not rise and its minimum did not fall
+    from round t-1, up to VALIDITY_SLACK (index 0 is True)."""
+    return [True] + [
+        mu[t] >= mu[t - 1] - VALIDITY_SLACK and u[t] <= u[t - 1] + VALIDITY_SLACK
+        for t in range(1, len(u))
+    ]
+
+
 def value_levels(values: dict[int, list[float]]) -> tuple[list[float], list[float], list[bool]]:
     """U[t] (maximum) and mu[t] (minimum) over the nodes of a
     {node: [v[0], v[1], ...]} history, for the rounds every node completed,
-    and per-round validity: index t checks round t against t-1 (index 0 is
-    True), with VALIDITY_SLACK tolerance."""
+    and their per-round validity."""
     common = min(len(vs) for vs in values.values())
     u = [max(vs[t] for vs in values.values()) for t in range(common)]
     mu = [min(vs[t] for vs in values.values()) for t in range(common)]
-    validity = [True]
-    for t in range(1, common):
-        validity.append(
-            mu[t] >= mu[t - 1] - VALIDITY_SLACK and u[t] <= u[t - 1] + VALIDITY_SLACK
-        )
-    return u, mu, validity
+    return u, mu, _validity(u, mu)
 
 
-def trace_metrics(trace: Trace, epsilon: float | None = None) -> TraceMetrics:
-    """Per-round maximum/minimum/spread over fault-free nodes, the first
-    round at or below epsilon, and per-round validity checks."""
-    eps = trace.config.epsilon if epsilon is None else epsilon
-    u, mu, validity = value_levels(trace.values)
-    spreads = [a - b for a, b in zip(u, mu)]
-    first = next((t for t, s in enumerate(spreads) if s <= eps), None)
-    return TraceMetrics(tuple(u), tuple(mu), tuple(spreads), first, tuple(validity))
+def trace_metrics(trace: Trace) -> TraceMetrics:
+    """Per-round validity of a run's fault-free levels."""
+    return TraceMetrics(tuple(_validity(trace.u_levels, trace.mu_levels)))
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -812,11 +788,23 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
         fh.write("".join(rows))
 
 
+def _bad_cell(row: list[str], line: int, columns) -> str:
+    """The message for a trace CSV row with a cell that does not convert:
+    the first of `columns` ((name, index, int or float), ...) that fails."""
+    for name, at, convert in columns:
+        try:
+            convert(row[at])
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            return f"trace CSV line {line} column {name!r} is not {kind}: {row[at]!r}"
+
+
 def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
     column (an empty file lacks all three), a row with too few fields, a
-    value that is not finite, a repeated (round, nodeId) pair or a gap in a
-    node's rounds raises ValueError; blank lines are skipped."""
+    round or nodeId that is not an integer, a value that is not a finite
+    number, a repeated (round, nodeId) pair or a gap in a node's rounds
+    raises ValueError; blank lines are skipped."""
     values: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -829,11 +817,14 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
         for row in filter(None, reader):
             if len(row) < width:
                 raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
-            node, t = int(row[at_node]), int(row[at_round])
+            try:
+                node, t, value = int(row[at_node]), int(row[at_round]), float(row[at_value])
+            except ValueError:
+                columns = (("round", at_round, int), ("nodeId", at_node, int), ("value", at_value, float))
+                raise ValueError(_bad_cell(row, reader.line_num, columns)) from None
             by_round = values.setdefault(node, {})
             if t in by_round:
                 raise ValueError(f"trace CSV line {reader.line_num} repeats round {t} of node {node}")
-            value = float(row[at_value])
             if not abs(value) <= _FLOAT_MAX:
                 raise ValueError(f"trace CSV line {reader.line_num} has non-finite value {row[at_value]!r}")
             by_round[t] = value

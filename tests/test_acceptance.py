@@ -213,7 +213,7 @@ def test_criterion_5_convergence_bound(k6_traces):
 def test_criterion_6_contraction_bound(k6_traces):
     failures = []
     for name, seed, trace in k6_traces:
-        ok, rep = verify_contraction(trace, ALPHA, 6, 1)
+        ok, rep = verify_contraction(trace.spreads, ALPHA, 6, 1)
         if not ok:
             failures.append((name, seed, rep.first_violation_round))
     report(

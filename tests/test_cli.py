@@ -258,6 +258,26 @@ class TestRunVerify:
         rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
         assert {float(value) for _, node, value in rows if node == "0"} == {0.0}
 
+    def test_run_that_cannot_progress_exits_2(self, tmp_path, capsys):
+        # A synchronous run waits on every in-edge, so a silent faulty node
+        # leaves the fault-free nodes waiting for ever.
+        config = {
+            "graph": {"n": 4, "edges": [[i, j] for i in range(4) for j in range(4) if i != j]},
+            "f": 1,
+            "fault_set": [3],
+            "inputs": [0, 0.5, 1, 0.2],
+            "scheduler": {"kind": "synchronous"},
+            "byzantine": {"kind": "silent"},
+            "max_rounds": 5,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "trace.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: no pending messages but the run is not finished\n"
+
     def test_verify_reports_validity_violation(self, tmp_path, k6_file, capsys):
         # Node 2 leaves the round-0 range [0, 1] in round 1.
         trace_path = tmp_path / "bad.csv"
@@ -314,6 +334,9 @@ class TestRunVerify:
             ("nodeId,round\r\n0,0\r\n", "missing column(s) 'value'"),
             ("", "missing column(s) 'round', 'nodeId', 'value'"),
             ("round,nodeId,value\r\n0,0,0.5\r\n0,1\r\n", "line 3 has 2 field(s), need 3"),
+            ("round,nodeId,value\r\nx,1,0.5\r\n", "line 2 column 'round' is not an integer: 'x'"),
+            ("round,nodeId,value\r\n0,1,0.5\r\n0,0,abc\r\n", "line 3 column 'value' is not a number: 'abc'"),
+            ("value,nodeId,round\r\n0.5,1.0,0\r\n", "line 2 column 'nodeId' is not an integer: '1.0'"),
         ],
     )
     def test_verify_rejects_malformed_trace(self, tmp_path, k6_file, capsys, text, message):

@@ -268,6 +268,24 @@ class TestQuickDegreeChecks:
         assert quick_degree_checks(g, 0) == []
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, f: check_partition_condition(g, f, "async"),
+        check_reduced_graph_condition,
+        check_source_component_size,
+        quick_degree_checks,
+    ],
+    ids=["partition", "reduced-graph", "source-size", "quick-degree"],
+)
+@pytest.mark.parametrize(
+    "f, message", [(True, "f must be an integer"), (1.5, "f must be an integer"), (-1, "f must be >= 0")]
+)
+def test_fault_bound_must_be_a_non_negative_integer(k5, check, f, message):
+    with pytest.raises(ValueError, match=message):
+        check(k5, f)
+
+
 class TestTheoremProperties:
     """Testable consequences of the equivalence and propagation results."""
 

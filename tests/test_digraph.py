@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -69,6 +70,11 @@ class TestParseGraph:
             Digraph(True, [])
         with pytest.raises(GraphError, match="endpoints"):
             Digraph(3, [(1, True)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), 5])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        with pytest.raises(GraphError, match=re.escape(f"edge must be a pair of node ids, got {edge!r}")):
+            Digraph(3, [edge])
 
     def test_unknown_field_rejected(self):
         with pytest.raises(GraphError, match="unknown field\\(s\\) 'edge'"):

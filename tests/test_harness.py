@@ -106,7 +106,7 @@ class TestVerifyContraction:
         g, trace = self.k6_trace()
         alpha = compute_alpha(g, 1)
         assert alpha == Fraction(1, 3)
-        ok, report = verify_contraction(trace, alpha, 6, 1)
+        ok, report = verify_contraction(trace.spreads, alpha, 6, 1)
         assert ok
         assert report.window == 4
         assert report.theoretical_factor == pytest.approx(1 - (1 / 3) ** 4 / 2)

@@ -17,7 +17,6 @@ from byztrim.digraph import Digraph
 from byztrim.protocol import RoundMessage
 from byztrim.simnet import (
     AdaptiveDelayScheduler,
-    BehaviorContext,
     ByzantineSpec,
     Delivery,
     FifoScheduler,
@@ -33,6 +32,7 @@ from byztrim.simnet import (
     run_simulation,
     trace_metrics,
     read_trace_csv,
+    value_levels,
     write_metrics_csv,
     write_trace_csv,
 )
@@ -217,36 +217,58 @@ class TestConfigValidation:
         )
 
 
+def faulty_config(behavior: ByzantineSpec, node: int, out_nbrs: tuple[int, ...], seed: int = 0) -> SimConfig:
+    """A config whose one faulty node `node` has exactly the out-neighbours `out_nbrs`."""
+    n = max(node, *out_nbrs) + 1
+    return SimConfig(
+        graph=Digraph(n, [(node, dest) for dest in out_nbrs]), f=1, fault_set=frozenset({node}),
+        inputs=(0.0,) * n, scheduler=SchedulerSpec("random"), byzantine=behavior, seed=seed,
+    )
+
+
 class TestByzantineValues:
     def test_split_targets_sides(self):
-        ctx = BehaviorContext(out_neighbors=(0, 1, 2), seed=0)
         spec = ByzantineSpec(
             "split", {"m": 0.0, "M": 1.0, "m_minus": -1.0, "M_plus": 2.0, "left": [0], "right": [1]}
         )
-        vals = byzantine_values(spec, 9, 0, ctx)
+        vals = byzantine_values(faulty_config(spec, 9, (0, 1, 2)), 9, 0)
         assert vals == {0: -1.0, 1: 2.0, 2: 0.5}
 
     def test_identical_wrong(self):
-        ctx = BehaviorContext(out_neighbors=(1, 2, 3), seed=0)
-        vals = byzantine_values(ByzantineSpec("identical-wrong", {"value": 7.0}), 0, 3, ctx)
-        assert vals == {1: 7.0, 2: 7.0, 3: 7.0}
+        cfg = faulty_config(ByzantineSpec("identical-wrong", {"value": 7.0}), 0, (1, 2, 3))
+        assert byzantine_values(cfg, 0, 3) == {1: 7.0, 2: 7.0, 3: 7.0}
 
     def test_random_is_seed_stable(self):
-        ctx = BehaviorContext(out_neighbors=(1, 2), seed=123)
-        spec = ByzantineSpec("random", {"low": -1.0, "high": 1.0})
-        a = byzantine_values(spec, 4, 7, ctx)
-        b = byzantine_values(spec, 4, 7, ctx)
+        cfg = faulty_config(ByzantineSpec("random", {"low": -1.0, "high": 1.0}), 4, (1, 2), seed=123)
+        a = byzantine_values(cfg, 4, 7)
+        b = byzantine_values(cfg, 4, 7)
         assert a == b
-        assert byzantine_values(spec, 4, 8, ctx) != a
+        assert byzantine_values(cfg, 4, 8) != a
+        assert byzantine_values(dataclasses.replace(cfg, seed=124), 4, 7) != a
 
     def test_silent_sends_nothing(self):
-        ctx = BehaviorContext(out_neighbors=(1, 2), seed=0)
-        assert byzantine_values(ByzantineSpec("silent"), 0, 0, ctx) == {}
+        assert byzantine_values(faulty_config(ByzantineSpec("silent"), 0, (1, 2)), 0, 0) == {}
 
     def test_unknown_behavior(self):
-        ctx = BehaviorContext(out_neighbors=(1,), seed=0)
         with pytest.raises(ValueError, match="unknown byzantine behavior"):
-            byzantine_values(ByzantineSpec("gaslight"), 0, 0, ctx)
+            byzantine_values(faulty_config(ByzantineSpec("gaslight"), 0, (1,)), 0, 0)
+
+    def test_matches_what_the_run_sends(self):
+        cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -1, "high": 2}))
+        sent = [d for d in run_simulation(cfg).deliveries if d.sender == 5]
+        assert len(sent) > 20
+        for d in sent:
+            assert d.value == byzantine_values(cfg, 5, d.tag)[d.receiver]
+
+    def test_side_node_ids_are_range_checked(self):
+        spec = ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [7]})
+        with pytest.raises(ValueError, match="entry 7 is not a node of the graph"):
+            byzantine_values(faulty_config(spec, 0, (1, 2)), 0, 0)
+
+    def test_node_must_be_faulty(self):
+        cfg = faulty_config(ByzantineSpec("identical-wrong", {"value": 7.0}), 0, (1, 2))
+        with pytest.raises(ValueError, match="node 1 is not in the fault set"):
+            byzantine_values(cfg, 1, 0)
 
 
 class TestRunSimulation:
@@ -273,12 +295,12 @@ class TestRunSimulation:
             fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -10, "high": 10})
         )
         trace = run_simulation(cfg)
-        metrics = trace_metrics(trace)
+        u, mu, validity = value_levels(trace.values)
         assert trace.outcome == "converged"
-        assert metrics.all_valid
-        assert metrics.first_converged_round == trace.converged_round
-        assert list(metrics.u_levels) == trace.u_levels
-        assert list(metrics.mu_levels) == trace.mu_levels
+        assert trace_metrics(trace).all_valid
+        assert trace_metrics(trace).validity_per_round == tuple(validity)
+        assert u == trace.u_levels
+        assert mu == trace.mu_levels
 
     def test_silent_byzantine_is_tolerated(self):
         cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("silent"))
@@ -394,9 +416,10 @@ class TestAttack:
 
     def test_metrics_spread_constant(self, k5):
         cfg = build_attack_config(k5, 1, self.witness(k5), 0.0, 1.0, max_rounds=30)
-        metrics = trace_metrics(run_simulation(cfg))
-        assert set(metrics.spreads) == {1.0}
-        assert metrics.first_converged_round is None
+        trace = run_simulation(cfg)
+        assert set(trace.spreads) == {1.0}
+        assert trace.converged_round is None
+        assert trace_metrics(trace).all_valid
 
     def test_withheld_messages_are_released_stale(self, k5):
         # Finite-delay contract: the adversary defers cross-side traffic but
@@ -438,10 +461,10 @@ class TestAttack:
 class TestTraceMetrics:
     def test_constant_inputs(self):
         cfg = k6_config(inputs=(0.25,) * 6, epsilon=0.0)
-        metrics = trace_metrics(run_simulation(cfg))
-        assert metrics.first_converged_round == 0
-        assert metrics.spreads == (0.0,)
-        assert metrics.all_valid
+        trace = run_simulation(cfg)
+        assert trace.converged_round == 0
+        assert trace.spreads == [0.0]
+        assert trace_metrics(trace).validity_per_round == (True,)
 
     def test_two_node_spread_sequence(self):
         g = Digraph(2, [(0, 1), (1, 0)])
@@ -449,10 +472,17 @@ class TestTraceMetrics:
             graph=g, f=0, fault_set=frozenset(), inputs=(0.0, 1.0),
             scheduler=SchedulerSpec("random"), seed=5, max_rounds=10, epsilon=0.0,
         )
-        metrics = trace_metrics(run_simulation(cfg), epsilon=1e-12)
-        assert metrics.spreads[0] == 1.0
-        assert metrics.spreads[1] == 0.0
-        assert metrics.first_converged_round == 1
+        trace = run_simulation(cfg)
+        assert trace.spreads[0] == 1.0
+        assert trace.spreads[1] == 0.0
+        assert trace.converged_round == 1
+        assert trace_metrics(trace).validity_per_round == (True, True)
+
+    def test_rising_maximum_is_invalid(self):
+        trace = run_simulation(k6_config())
+        trace.u_levels[2] = trace.u_levels[1] + 1.0
+        assert trace_metrics(trace).validity_per_round[:4] == (True, True, False, True)
+        assert not trace_metrics(trace).all_valid
 
 
 class TestCsvExport:
