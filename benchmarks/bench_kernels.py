@@ -15,7 +15,9 @@ visited (`examined`) and the seconds taken.
 The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
 graphs (f=1, one `random` Byzantine node, fixed round counts), and the
-adaptive-delay attack on K5 (f=1) and K10 (f=2).
+adaptive-delay attack on K5 (f=1), K10 (f=2) and a two-cluster graph (two
+complete 5-node clusters with at most 2f cross in-edges per node, f=1, 200
+rounds), the graph class of the median perfbench `attack` op.
 
 The protocol rows time one `NodeState.apply_update` call (the trim-and-
 average update and the move to the next round) on complete graphs, f=1,
@@ -49,6 +51,7 @@ import time
 from byztrim import _kernels, simnet
 from byztrim.protocol import NodeState, RoundMessage
 from byztrim.conditions import ASYNC, check_partition_condition
+from byztrim.digraph import Digraph
 from byztrim.harness import generate_graph
 
 
@@ -127,14 +130,32 @@ def simulator_configs():
         for kind in ("random", "fifo", "synchronous")
         for n, rounds in ((6, 200), (16, 50), (32, 20))
     ]
-    for g, f, rounds in (
-        (generate_graph("counterexample-k5"), 1, 400),
-        (generate_graph("complete", {"n": 10}), 2, 150),
+    for name, g, f, rounds in (
+        ("K5", generate_graph("counterexample-k5"), 1, 400),
+        ("K10", generate_graph("complete", {"n": 10}), 2, 150),
+        ("two-cluster 5+5", two_cluster_graph(random.Random(5), 1, 5), 1, 200),
     ):
         witness = check_partition_condition(g, f, ASYNC).witness
         config = simnet.build_attack_config(g, f, witness, 0.0, 1.0, max_rounds=rounds)
-        rows.append((f"adaptive-delay attack, K{g.n} f={f}, {rounds} rounds", config))
+        rows.append((f"adaptive-delay attack, {name} f={f}, {rounds} rounds", config))
     return rows
+
+
+def two_cluster_graph(rng: random.Random, f: int, size: int) -> Digraph:
+    """Two complete clusters of `size` nodes with shuffled labels; each node
+    gets between max(0, 3f+1-(size-1)) and 2f in-edges from the other
+    cluster, so every in-degree is at least 3f+1 and the cut between the
+    clusters violates the async condition."""
+    labels = list(range(2 * size))
+    rng.shuffle(labels)
+    clusters = (labels[:size], labels[size:])
+    edges = []
+    for own, other in (clusters, clusters[::-1]):
+        for v in own:
+            edges += [(u, v) for u in own if u != v]
+            cross = rng.randint(max(0, 3 * f + 1 - (size - 1)), 2 * f)
+            edges += [(u, v) for u in rng.sample(other, cross)]
+    return Digraph(2 * size, edges)
 
 
 def simulator_rate(config, repeat: int) -> tuple[int, float]:

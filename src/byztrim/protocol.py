@@ -43,7 +43,8 @@ class NodeState:
     """
 
     __slots__ = (
-        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "require_all", "expected_count", "buffer"
+        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "require_all", "expected_count",
+        "update_error", "buffer",
     )
 
     def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool = False):
@@ -61,15 +62,22 @@ class NodeState:
         # Messages needed per round: all but f in-edges (all of them when
         # emulating a synchronous execution).
         self.expected_count = len(self.in_nbrs) if require_all else len(self.in_nbrs) - f
+        # Why apply_update cannot run on this node, if it cannot: the degree
+        # and trim rules depend on the graph alone.  A node that never
+        # updates (a faulty one only paces rounds) never raises it.
+        self.update_error: str | None = None
+        if f > 0 and not require_all and len(self.in_nbrs) < 3 * f + 1:
+            self.update_error = f"node {node_id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * f + 1}"
+        elif self.in_nbrs and self.expected_count <= 2 * f:
+            self.update_error = f"node {node_id}: trimming 2f={2 * f} values leaves nothing to average"
         # tag -> {sender: value}, insertion-ordered per tag (= arrival order)
         self.buffer: dict[int, dict[int, float]] = {}
 
-    def outgoing_messages(self) -> list[tuple[int, RoundMessage]]:
-        """Round-opening transmissions: current value, tagged round-1, to
-        every out-neighbour (no self-message; the own value joins the update
-        directly)."""
-        msg = RoundMessage(self.id, self.round - 1, self.value)
-        return [(dest, msg) for dest in self.out_nbrs]
+    def outgoing_message(self) -> RoundMessage:
+        """The round-opening transmission: the current value, tagged
+        round-1, sent alike to every node of `out_nbrs` (no self-message;
+        the own value joins the update directly)."""
+        return RoundMessage(self.id, self.round - 1, self.value)
 
     def ingest_message(self, m: RoundMessage) -> bool:
         """Buffer a received message.  Returns True if stored, False if the
@@ -103,23 +111,18 @@ class NodeState:
         below the one used are never buffered (ingest discards them), so
         dropping that tag's slot empties the past.
         """
-        if not self.round_ready():
+        tag = self.round - 1
+        slot, count = self.buffer.get(tag, ()), self.expected_count
+        if len(slot) < count:
             raise ProtocolError(f"node {self.id} not ready for round {self.round}")
-        if self.f > 0 and not self.require_all and len(self.in_nbrs) < 3 * self.f + 1:
-            raise ProtocolError(
-                f"node {self.id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * self.f + 1}"
-            )
+        if self.update_error is not None:
+            raise ProtocolError(self.update_error)
         if not self.in_nbrs:
             # Nothing ever arrives (possible only with f = 0 or in lockstep):
             # the node averages its own value alone, so it keeps it.
             self.round += 1
             return self.value
-        tag = self.round - 1
-        slot, count, f = self.buffer[tag], self.expected_count, self.f
-        if count <= 2 * f:
-            raise ProtocolError(
-                f"node {self.id}: trimming 2f={2 * f} values leaves nothing to average"
-            )
+        f = self.f
         # Sorting the values alone keeps what the (value, sender) order keeps:
         # tied values are equal floats, so the sum's value is the same.  Only
         # the sign of a zero sum can differ: it is -0.0 exactly when the own

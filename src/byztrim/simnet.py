@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import random
 import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from byztrim.digraph import Digraph, parse_graph
@@ -260,8 +262,8 @@ def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int) -> dict:
 class PendingMessage(NamedTuple):
     """The layout of an in-flight message; the unique sequence number is its
     send order (and, being the first field, orders messages on its own).
-    The event loop pushes plain tuples of this layout and the pools read
-    them by index, so either kind works in every pool."""
+    Pools build plain tuples of this layout from `push(seq, dests, msg)`
+    and pop them back; a PendingMessage compares equal to its plain tuple."""
 
     sequence: int
     destination: int
@@ -388,7 +390,14 @@ def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, 
 # Schedulers
 
 
-class RandomScheduler:
+class _RoundBlind:
+    """A pool whose delivery order does not depend on the nodes' rounds."""
+
+    def advanced(self, node: int, round_: int) -> None:
+        """Node `node` moved to round `round_`: nothing to do."""
+
+
+class RandomScheduler(_RoundBlind):
     """Uniform out-of-order delivery among all pending messages.
 
     The pool is a list in push order; a pop draws one index uniformly and
@@ -404,10 +413,10 @@ class RandomScheduler:
     def __len__(self) -> int:
         return len(self.pool)
 
-    def push(self, pm: PendingMessage) -> None:
-        self.pool.append(pm)
+    def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
+        self.pool.extend(zip(range(seq, seq + len(dests)), dests, repeat(msg)))
 
-    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+    def pop(self) -> PendingMessage:
         pool, getrandbits = self.pool, self.getrandbits
         n = len(pool)
         if not n:
@@ -419,7 +428,7 @@ class RandomScheduler:
         return pool.pop(i)
 
 
-class FifoScheduler:
+class FifoScheduler(_RoundBlind):
     """Random delivery, but per-link in order (lowest sequence per link first).
 
     Each link keeps a deque in sequence order; `heads` lists the non-empty
@@ -435,14 +444,16 @@ class FifoScheduler:
     def __len__(self) -> int:
         return sum(map(len, self.links.values()))
 
-    def push(self, pm: PendingMessage) -> None:
-        link = (pm[2].sender, pm[1])
-        queue = self.links[link]
-        if not queue:
-            bisect.insort(self.heads, (pm[0], link))
-        queue.append(pm)
+    def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
+        links, sender = self.links, msg.sender
+        for i, dest in enumerate(dests, seq):
+            link = (sender, dest)
+            queue = links[link]
+            if not queue:
+                bisect.insort(self.heads, (i, link))
+            queue.append((i, dest, msg))
 
-    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+    def pop(self) -> PendingMessage:
         heads, getrandbits = self.heads, self.getrandbits
         n = len(heads)
         if not n:
@@ -459,7 +470,7 @@ class FifoScheduler:
         return pm
 
 
-class SynchronousScheduler:
+class SynchronousScheduler(_RoundBlind):
     """Deliver all messages of a round tag before any later tag (plumbing for
     lockstep sanity runs; pair with SimConfig scheduler kind "synchronous",
     which also makes nodes wait for every in-edge).  A heap keyed by
@@ -471,10 +482,12 @@ class SynchronousScheduler:
     def __len__(self) -> int:
         return len(self.heap)
 
-    def push(self, pm: PendingMessage) -> None:
-        heappush(self.heap, (pm[2].tag, pm[0], pm))
+    def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
+        heap, tag = self.heap, msg.tag
+        for i, dest in enumerate(dests, seq):
+            heappush(heap, (tag, i, (i, dest, msg)))
 
-    def pop(self, rounds: dict[int, int]) -> PendingMessage:
+    def pop(self) -> PendingMessage:
         return heappop(self.heap)[2]
 
 
@@ -486,20 +499,20 @@ class AdaptiveDelayScheduler:
     delays stay finite.
 
     Delivery is the lowest sequence among the messages not withheld.
-    Messages never withheld arrive in sequence order (the event loop pushes
-    in send order), so they queue in a deque; messages from a receiver's
-    withheld senders sit in that receiver's heap keyed by (tag, sequence)
-    and move to the released heap, which orders messages by their first
-    field, the unique sequence, once the receiver's round exceeds tag + 1.
-    A pop takes the lower of the two heads.
+    Messages never withheld arrive in sequence order, so they queue in a
+    deque; messages from a receiver's withheld senders sit in that
+    receiver's heap keyed by (tag, sequence) until the receiver's round
+    exceeds tag + 1, and then in the released heap, which orders messages
+    by their first field, the unique sequence.  Releases are eager:
+    `advanced` moves a receiver's releasable messages when its round rises,
+    and `push` sends a message that is releasable already straight to the
+    released heap.  A pop takes the lower of the two heads: O(1) from the
+    queue or O(log released) from the heap.
 
-    A receiver's held heap can gain a releasable message only when it is
-    pushed to or when its round rises.  The event loop raises a round only
-    for the destination of the message it just delivered (and for any node
-    before the first delivery), so `pop` re-examines just the receivers in
-    `stale`: all of them at first, then the ones pushed to since the last
-    pop and the last popped destination.  A pop costs O(1) from the queue
-    or O(log released) from the heap, plus the releases it makes."""
+    Each sender some receiver withholds has a plan for a broadcast to its
+    sorted out-neighbours: the positions and receivers that never withhold
+    it, queued with one `extend`, and the (position, receiver) pairs that
+    do.  Other senders' pushes are one `extend`."""
 
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
@@ -513,38 +526,63 @@ class AdaptiveDelayScheduler:
         self.held: dict[int, list[tuple[int, int, PendingMessage]]] = {
             v: [] for v, senders in self.withheld.items() if senders
         }
+        # The rounds of the receivers that withhold; nodes start in round 1.
+        self.round_of = dict.fromkeys(self.held, 1)
+        self.plans: dict[int, tuple] = {}
+        for sender in g.nodes:
+            plan = self._plan(sender, tuple(sorted(g.out_nbrs[sender])))
+            if plan[3]:
+                self.plans[sender] = plan
         self.queue: deque[PendingMessage] = deque()
         self.released: list[PendingMessage] = []
-        self.stale: set[int] = set(self.held)
+
+    def _plan(self, sender: int, dests: tuple[int, ...]) -> tuple:
+        """(dests, the positions in dests and the receivers that never
+        withhold `sender`, the (position, receiver) pairs that do)."""
+        held, withheld = self.held, self.withheld
+        shut = [dest in held and sender in withheld[dest] for dest in dests]
+        opened = tuple(i for i, s in enumerate(shut) if not s)
+        closed = tuple((i, dest) for i, dest in enumerate(dests) if shut[i])
+        return dests, opened, tuple(dests[i] for i in opened), closed
 
     def __len__(self) -> int:
         return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
 
-    def push(self, pm: PendingMessage) -> None:
-        senders = self.withheld.get(pm[1])
-        if senders and pm[2].sender in senders:
-            heappush(self.held[pm[1]], (pm[2].tag, pm[0], pm))
-            self.stale.add(pm[1])
-        else:
-            self.queue.append(pm)
-
-    def pop(self, rounds: dict[int, int]) -> PendingMessage:
-        queue, released, held = self.queue, self.released, self.held
-        for v in self.stale:
-            heap = held[v]
+    def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
+        plan = self.plans.get(msg.sender)
+        if plan is None:
+            self.queue.extend(zip(range(seq, seq + len(dests)), dests, repeat(msg)))
+            return
+        if plan[0] != dests:
+            plan = self._plan(msg.sender, dests)
+        _, opened, receivers, closed = plan
+        self.queue.extend(zip(map(seq.__add__, opened), receivers, repeat(msg)))
+        tag = msg.tag
+        for i, dest in closed:
+            pm = (seq + i, dest, msg)
             # Held while the receiver could still use the tag (round <= tag+1).
-            while heap and rounds[v] > heap[0][0] + 1:
-                heappush(released, heappop(heap)[2])
+            if self.round_of[dest] > tag + 1:
+                heappush(self.released, pm)
+            else:
+                heappush(self.held[dest], (tag, seq + i, pm))
+
+    def advanced(self, node: int, round_: int) -> None:
+        """Node `node` moved to round `round_`: release what it withheld
+        for the tags it can no longer use."""
+        heap = self.held.get(node)
+        if heap is None:
+            return
+        self.round_of[node] = round_
+        while heap and round_ > heap[0][0] + 1:
+            heappush(self.released, heappop(heap)[2])
+
+    def pop(self) -> PendingMessage:
+        queue, released = self.queue, self.released
         if released and (not queue or released[0][0] < queue[0][0]):
-            pm = heappop(released)
-        elif queue:
-            pm = queue.popleft()
-        else:
-            raise SimulationError("scheduler deadlock: every pending message is withheld")
-        self.stale.clear()
-        if pm[1] in held:
-            self.stale.add(pm[1])
-        return pm
+            return heappop(released)
+        if queue:
+            return queue.popleft()
+        raise SimulationError("scheduler deadlock: every pending message is withheld")
 
 
 # kind -> (params and their types, required params, factory of the scheduler
@@ -579,7 +617,11 @@ def run_simulation(config: SimConfig) -> Trace:
     longer advance).  Slots only grow, one stored message at a time, so a
     delivery runs process_ready only when the message it stored fills the
     awaited slot to exactly `expected_count`: any other delivery leaves
-    readiness unchanged."""
+    readiness unchanged.
+
+    A fault-free node's round broadcast is one scheduler push; a faulty
+    node's messages are one push each, in out-neighbour order.  Each rise
+    of a node's round reaches the scheduler through its `advanced` hook."""
     scheduler_params, byzantine_params = config.validate()
     g, f = config.graph, config.f
     faulty = config.fault_set
@@ -589,11 +631,10 @@ def run_simulation(config: SimConfig) -> Trace:
     states: dict[int, NodeState] = {
         v: init_node(v, config.inputs[v], g, f, require_all=require_all) for v in g.nodes
     }
-    rounds = {v: states[v].round for v in g.nodes}
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
     deliveries: list[Delivery] = []
     scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
-    push, pop = scheduler.push, scheduler.pop
+    push, pop, advanced = scheduler.push, scheduler.pop, scheduler.advanced
     behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
     seq = 0  # messages sent; seq - vt of them are pending
     vt = 0
@@ -602,12 +643,13 @@ def run_simulation(config: SimConfig) -> Trace:
         nonlocal seq
         st = states[v]
         if v in faulty:
-            outgoing = behavior(v, st.round - 1, st.out_nbrs).items()
+            # One push per destination keeps the sequence in out-neighbour order.
+            for dest, msg in behavior(v, st.round - 1, st.out_nbrs).items():
+                push(seq, (dest,), msg)
+                seq += 1
         else:
-            outgoing = st.outgoing_messages()
-        for dest, msg in outgoing:
-            push((seq, dest, msg))
-            seq += 1
+            push(seq, st.out_nbrs, st.outgoing_message())
+            seq += len(st.out_nbrs)
 
     u_levels = [max(values[v][0] for v in fault_free)]
     mu_levels = [min(values[v][0] for v in fault_free)]
@@ -635,8 +677,9 @@ def run_simulation(config: SimConfig) -> Trace:
                 outcome = "max-rounds-hit"
 
     def process_ready(v: int) -> None:
+        """Update v, which is ready, and again while it stays ready."""
         st = states[v]
-        while outcome is None and st.round <= max_rounds and st.round_ready():
+        while outcome is None and st.round <= max_rounds:
             if v in faulty:
                 # Faulty nodes only pace rounds; their internal value is
                 # never used (outgoing values come from the behavior), so no
@@ -646,15 +689,19 @@ def run_simulation(config: SimConfig) -> Trace:
             else:
                 values[v].append(st.apply_update())
                 complete_round(st.round - 1)
-            rounds[v] = st.round
-            if outcome is None and st.round <= max_rounds:
-                emit(v)
+            advanced(v, st.round)
+            if outcome is not None or st.round > max_rounds:
+                return
+            emit(v)
+            if not st.round_ready():
+                return
 
     if outcome is None:
         for v in sorted(g.nodes):
             emit(v)
         for v in sorted(g.nodes):
-            process_ready(v)
+            if states[v].round_ready():
+                process_ready(v)
 
     record = deliveries.append
     # The body of Delivery._make without its Python frame (runs in C).
@@ -662,7 +709,7 @@ def run_simulation(config: SimConfig) -> Trace:
     while outcome is None:
         if vt == seq:
             raise SimulationError("no pending messages but the run is not finished")
-        _, dest, msg = pop(rounds)
+        _, dest, msg = pop()
         vt += 1
         tag = msg.tag
         record(new_tuple(Delivery, (vt, msg.sender, dest, tag, msg.value)))
@@ -788,11 +835,27 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
         fh.write("".join(rows))
 
 
+# int() and float() accept digit-group underscores and skip surrounding
+# whitespace; a trace CSV cell holds neither.  Only a file with one of these
+# characters, a quote (a quoted cell can hold a line break) or non-ASCII
+# text (which can hold other whitespace) needs its cells checked.
+_LAX_MARKS = '_ \t\v\f"'
+
+
+def _lax(cell: str) -> bool:
+    """True for a cell that int() or float() reads past a character it
+    should reject: an underscore or surrounding whitespace."""
+    return "_" in cell or cell != cell.strip()
+
+
 def _bad_cell(row: list[str], line: int, columns) -> str:
-    """The message for a trace CSV row with a cell that does not convert:
-    the first of `columns` ((name, index, int or float), ...) that fails."""
+    """The message for a trace CSV row with a cell that does not convert
+    or is lax: the first of `columns` ((name, index, int or float), ...)
+    that fails."""
     for name, at, convert in columns:
         try:
+            if _lax(row[at]):
+                raise ValueError
             convert(row[at])
         except ValueError:
             kind = "an integer" if convert is int else "a number"
@@ -803,11 +866,14 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
     column (an empty file lacks all three), a row with too few fields, a
     round or nodeId that is not an integer, a value that is not a finite
-    number, a repeated (round, nodeId) pair or a gap in a node's rounds
+    number (a cell with an underscore or surrounding whitespace is
+    neither), a repeated (round, nodeId) pair or a gap in a node's rounds
     raises ValueError; blank lines are skipped."""
     values: dict[int, dict[int, float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+        lax = not text.isascii() or any(mark in text for mark in _LAX_MARKS)
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, [])
         missing = [name for name in ("round", "nodeId", "value") if name not in header]
         if missing:
@@ -819,6 +885,8 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
                 raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
             try:
                 node, t, value = int(row[at_node]), int(row[at_round]), float(row[at_value])
+                if lax and (_lax(row[at_round]) or _lax(row[at_node]) or _lax(row[at_value])):
+                    raise ValueError
             except ValueError:
                 columns = (("round", at_round, int), ("nodeId", at_node, int), ("value", at_value, float))
                 raise ValueError(_bad_cell(row, reader.line_num, columns)) from None

@@ -337,6 +337,9 @@ class TestRunVerify:
             ("round,nodeId,value\r\nx,1,0.5\r\n", "line 2 column 'round' is not an integer: 'x'"),
             ("round,nodeId,value\r\n0,1,0.5\r\n0,0,abc\r\n", "line 3 column 'value' is not a number: 'abc'"),
             ("value,nodeId,round\r\n0.5,1.0,0\r\n", "line 2 column 'nodeId' is not an integer: '1.0'"),
+            # int() would read these as node 10 and node 1.
+            ("round,nodeId,value\r\n0,1_0,1.0\r\n", "line 2 column 'nodeId' is not an integer: '1_0'"),
+            ("round,nodeId,value\r\n0,0,0.5\r\n0, 1 ,1.0\r\n", "line 3 column 'nodeId' is not an integer: ' 1 '"),
         ],
     )
     def test_verify_rejects_malformed_trace(self, tmp_path, k6_file, capsys, text, message):

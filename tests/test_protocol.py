@@ -39,22 +39,22 @@ class TestInitNode:
             init_node(6, 0.0, k6, 1)
 
 
-class TestOutgoingMessages:
+class TestOutgoingMessage:
     def test_tags_and_fanout(self):
-        g = Digraph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+        g = Digraph(3, [(0, 2), (0, 1), (1, 0), (2, 0)])
         s = init_node(0, 0.5, g, 0)
-        msgs = s.outgoing_messages()
-        assert msgs == [(1, RoundMessage(0, 0, 0.5)), (2, RoundMessage(0, 0, 0.5))]
+        assert s.outgoing_message() == RoundMessage(0, 0, 0.5)
+        assert s.out_nbrs == (1, 2)
 
     def test_no_out_neighbours(self):
         g = Digraph(2, [(1, 0)])
-        assert init_node(0, 1.0, g, 0).outgoing_messages() == []
+        assert init_node(0, 1.0, g, 0).out_nbrs == ()
 
     def test_tag_tracks_round(self):
         g = Digraph(2, [(0, 1), (1, 0)])
         s = init_node(0, 1.25, g, 0)
         s.round = 3
-        (dest, msg), = s.outgoing_messages()
+        msg = s.outgoing_message()
         assert msg.tag == 2 and msg.value == 1.25
 
 
@@ -148,7 +148,11 @@ class TestApplyUpdate:
             s.apply_update()
 
     def test_degree_too_small_for_f(self):
+        # The degree rule is known when the node is built, but only an
+        # update raises it, and only once the node is ready.
         s = init_node(0, 0.0, star_in(3), 1)
+        with pytest.raises(ProtocolError, match="not ready"):
+            s.apply_update()
         feed(s, 0, [(1, 0.1), (2, 0.2)])
         with pytest.raises(ProtocolError, match="3f\\+1"):
             s.apply_update()

@@ -593,6 +593,16 @@ class TestCsvExport:
             ("round,nodeId,value\n0,0,0.5\n\n1,0\n", "line 4 has 2 field\\(s\\), need 3"),
             ("round,nodeId,value\n0,0,0.5\n2,0,0.5\n", "not contiguous"),
             ("round,nodeId,value\n0,0,0.5\n1,0,0.5\n0,0,0.25\n", "line 4 repeats round 0 of node 0"),
+            # Python's int() and float() accept digit-group underscores and
+            # surrounding whitespace; a trace CSV cell does not.
+            ("round,nodeId,value\n0,1_0,1.0\n", "line 2 column 'nodeId' is not an integer: '1_0'"),
+            ("round,nodeId,value\n1_0,0,1.0\n", "line 2 column 'round' is not an integer: '1_0'"),
+            ("round,nodeId,value\n0,0,1_000.5\n", "line 2 column 'value' is not a number: '1_000.5'"),
+            ("round,nodeId,value\n0,0,0.5\n0, 1 ,1.0\n", "line 3 column 'nodeId' is not an integer: ' 1 '"),
+            ("round,nodeId,value\n 0,1,1.0\n", "line 2 column 'round' is not an integer: ' 0'"),
+            ("round,nodeId,value\n0,1,1.0\t\n", "line 2 column 'value' is not a number"),
+            ("round,nodeId,value\n0,1,\u30001.0\n", "line 2 column 'value' is not a number"),
+            ('round,nodeId,value\n0,"1\n",1.0\n', "line 3 column 'nodeId' is not an integer"),
         ],
     )
     def test_read_rejects_malformed(self, tmp_path, text, message):
@@ -665,58 +675,70 @@ class TestInlinedDraw:
             pool = RandomScheduler(seed) if kind == "random" else FifoScheduler(seed)
             expected = self._messages(count)
             for pm in expected:
-                pool.push(pm)
+                pool.push(pm.sequence, (pm.destination,), pm.message)
             ref = random.Random(seed)
             while len(expected) > (0 if count == 300 else 4090):
-                assert pool.pop({}) == expected.pop(ref.randrange(len(expected)))
+                assert pool.pop() == expected.pop(ref.randrange(len(expected)))
             assert len(pool) == len(expected)
 
     @pytest.mark.parametrize("kind", ["random", "fifo"])
     def test_empty_pool_pop_raises(self, kind):
         pool = RandomScheduler(1) if kind == "random" else FifoScheduler(1)
         with pytest.raises(IndexError):
-            pool.pop({})
+            pool.pop()
 
 
-class TestPlainTupleMessages:
-    """The event loop pushes plain (sequence, destination, message) tuples,
-    while tests and oracles push PendingMessage.  Each pool must pop the
-    same sequence numbers for either kind, and for a mix of both."""
+class TestBroadcastPush:
+    """A fault-free node's broadcast is one push(seq, dests, msg) and a
+    faulty node's one push per destination.  To every pool the two are the
+    same: the same pops, in the same order, or the same deadlock, under a
+    stream of broadcasts (to the sender's out-neighbours, the adaptive
+    pool's planned case, or to a shuffled subset of them), round rises and
+    pops."""
 
     @staticmethod
-    def _pops(kind: str, make) -> list:
+    def _pops(kind: str, per_destination: bool) -> list:
+        g = complete(5)
         pool = {
             "random": lambda: RandomScheduler(3),
             "fifo": lambda: FifoScheduler(3),
             "synchronous": SynchronousScheduler,
-            "adaptive-delay": lambda: AdaptiveDelayScheduler(complete(4), 1, [0, 1], [], [2, 3]),
+            "adaptive-delay": lambda: AdaptiveDelayScheduler(g, 2, [0, 1], [], [2, 3, 4]),
         }[kind]()
         rng = random.Random(11)
-        rounds = {v: 1 for v in range(4)}
+        rounds = dict.fromkeys(range(5), 1)
+        seq = 0
         popped = []
-        for step in range(60):
-            if step < 40 and step % 3 != 2:
-                seq = len(popped) + len(pool)
-                sender, dest = rng.sample(range(4), 2)
-                pool.push(make(seq, dest, RoundMessage(sender, rng.randrange(3), float(seq))))
-                continue
-            if not len(pool):
-                break
-            try:
-                pm = pool.pop(rounds)
-            except SimulationError:
-                return popped + ["deadlock"]
-            popped.append(pm[0])
-            rounds[pm[1]] += 1  # as in the event loop: only the receiver advances
+        for step in range(120):
+            if step < 80 and step % 4 < 2:
+                sender = rng.randrange(5)
+                dests = tuple(sorted(g.out_nbrs[sender]))
+                if rng.random() < 0.4:
+                    dests = tuple(rng.sample(dests, rng.randint(0, len(dests))))
+                msg = RoundMessage(sender, rng.randrange(3), float(seq))
+                if per_destination:
+                    for i, dest in enumerate(dests, seq):
+                        pool.push(i, (dest,), msg)
+                else:
+                    pool.push(seq, dests, msg)
+                seq += len(dests)
+            elif step % 4 == 2:
+                v = rng.randrange(5)
+                rounds[v] += 1
+                pool.advanced(v, rounds[v])
+            elif len(pool):
+                try:
+                    popped.append(pool.pop())
+                except SimulationError:
+                    return popped + ["deadlock"]
         return popped
 
     @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
-    def test_same_pops_for_named_and_plain_tuples(self, kind):
-        named = self._pops(kind, PendingMessage)
-        plain = self._pops(kind, lambda *pm: pm)
-        mixed = self._pops(kind, lambda *pm: PendingMessage(*pm) if pm[0] % 2 else pm)
-        assert len(named) >= 20
-        assert named == plain == mixed
+    def test_same_pops_for_one_push_and_per_destination_pushes(self, kind):
+        whole = self._pops(kind, per_destination=False)
+        split = self._pops(kind, per_destination=True)
+        assert len(whole) >= 40
+        assert whole == split
 
 
 @st.composite
@@ -796,10 +818,10 @@ class TestEventLoopOracle:
 @st.composite
 def _pool_scenario(draw):
     """A digraph, an L/C/R/faulty assignment, f, and a stream of operations
-    ("push", edge index, tag), ("pop",) or ("rise", node, step), drawn from
-    a seeded generator so that long streams stay cheap.  As in the event
-    loop, a rise after the first pop goes to the last popped destination
-    (the node given is then ignored)."""
+    ("push", edge index, tag), ("broadcast", sender, tag) to the sender's
+    sorted out-neighbours, ("pop",) or ("rise", node, step), drawn from a
+    seeded generator so that long streams stay cheap.  Any node's round
+    may rise at any time."""
     n = draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
@@ -809,8 +831,10 @@ def _pool_scenario(draw):
     ops = []
     for _ in range(draw(st.integers(0, 300))):
         x = rng.random()
-        if x < 0.45:
+        if x < 0.3:
             ops.append(("push", rng.randrange(len(edges)), rng.randrange(5)))
+        elif x < 0.45:
+            ops.append(("broadcast", rng.randrange(n), rng.randrange(5)))
         elif x < 0.85:
             ops.append(("pop",))
         else:
@@ -821,15 +845,15 @@ def _pool_scenario(draw):
 class TestSchedulerPools:
     """Each message pool against its naive twin in oracles.py (the old
     select-an-index-of-the-pending-list schedulers), driven by the same
-    interleaved push/pop stream with rising rounds.  Rounds rise as
-    run_simulation raises them: any node before the first delivery, then
-    only the destination of the message just delivered."""
+    interleaved push/pop stream with rising rounds.  Every rise reaches the
+    pool through `advanced`, as run_simulation reports it."""
 
     @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
     @settings(max_examples=100, deadline=None)
     @given(scenario=_pool_scenario(), seed=st.integers(0, 99))
     def test_pool_matches_naive_selector(self, kind, scenario, seed):
         n, edges, sides, f, ops = scenario
+        g = Digraph(n, edges)
         if kind == "random":
             pool, naive = RandomScheduler(seed), oracles.NaiveRandomSelector(seed)
         elif kind == "fifo":
@@ -837,32 +861,35 @@ class TestSchedulerPools:
         elif kind == "synchronous":
             pool, naive = SynchronousScheduler(), oracles.NaiveSynchronousSelector()
         else:
-            g = Digraph(n, edges)
             side = {s: [v for v in range(n) if sides[v] == s] for s in "LCR"}
             pool = AdaptiveDelayScheduler(g, f, side["L"], side["C"], side["R"])
             naive = oracles.NaiveAdaptiveDelaySelector(pool.withheld)
         pending: list[PendingMessage] = []
         rounds = {v: 1 for v in range(n)}
         seq = 0
-        last_dest = None
         for op in ops:
-            if op[0] == "push":
-                sender, dest = edges[op[1]]
-                pm = PendingMessage(seq, dest, RoundMessage(sender, op[2], float(seq)))
-                seq += 1
-                pending.append(pm)
-                pool.push(pm)
+            if op[0] in ("push", "broadcast"):
+                if op[0] == "push":
+                    sender, dest = edges[op[1]]
+                    dests = (dest,)
+                else:
+                    sender, dests = op[1], tuple(sorted(g.out_nbrs[op[1]]))
+                msg = RoundMessage(sender, op[2], float(seq))
+                pool.push(seq, dests, msg)
+                for dest in dests:
+                    pending.append(PendingMessage(seq, dest, msg))
+                    seq += 1
             elif op[0] == "rise":
-                rounds[op[1] if last_dest is None else last_dest] += op[2]
+                rounds[op[1]] += op[2]
+                pool.advanced(op[1], rounds[op[1]])
             elif pending:
                 try:
                     expected = pending.pop(naive.select(pending, rounds))
                 except SimulationError as exc:
                     assert kind == "adaptive-delay"
                     with pytest.raises(SimulationError, match="scheduler deadlock"):
-                        pool.pop(rounds)
+                        pool.pop()
                     assert str(exc).startswith("scheduler deadlock")
                 else:
-                    assert pool.pop(rounds) == expected
-                    last_dest = expected.destination
+                    assert pool.pop() == expected
             assert len(pool) == len(pending)
