@@ -14,6 +14,7 @@ import random
 import sys
 
 from byztrim import harness, simnet
+from byztrim._inputs import decimal, integer
 from byztrim.conditions import (
     ASYNC,
     SYNC,
@@ -141,12 +142,6 @@ def _cmd_gen(args) -> int:
         params["n"] = args.n
     if args.p is not None:
         params["p"] = args.p
-    if args.kind != "counterexample-k5" and args.n is None:
-        print("error: --n is required for this kind", file=sys.stderr)
-        return 2
-    if args.kind == "random-uniform" and args.p is None:
-        print("error: --p is required for random-uniform", file=sys.stderr)
-        return 2
     g = harness.generate_graph(args.kind, params, seed=args.seed)
     with open(args.out, "w") as fh:
         json.dump(g.to_dict(), fh, indent=2)
@@ -258,26 +253,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide the graph condition, emit a witness on failure")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--f", type=int, required=True, help="fault bound")
+    p.add_argument("--f", type=integer, required=True, help="fault bound")
     p.add_argument("--mode", choices=(SYNC, ASYNC), required=True)
     p.add_argument("--oracle", choices=("reduced-graph",), help="use the reduced-graph form (sync only)")
     p.add_argument("--source-size", action="store_true", help="also check source-component sizes")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("equiv", help="compare partition and reduced-graph checks over many graphs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--f", type=integer, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="all digraphs on n nodes (n <= 5)")
-    group.add_argument("--samples", type=int, default=100, help="number of random graphs")
-    p.add_argument("--seed", type=int, default=0)
+    group.add_argument("--samples", type=integer, default=100, help="number of random graphs")
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("gen", help="generate a graph JSON file")
     p.add_argument("--kind", choices=harness.GRAPH_KINDS, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=integer)
+    p.add_argument("--p", type=decimal)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)
 
@@ -288,17 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="find a violating partition and run the blocking schedule")
     p.add_argument("graph")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--f", type=integer, required=True)
+    p.add_argument("--m", type=decimal, default=0.0)
+    p.add_argument("--M", type=decimal, default=1.0)
+    p.add_argument("--rounds", type=integer, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_attack)
 
     p = sub.add_parser("verify", help="check validity and the contraction bound on a trace CSV")
     p.add_argument("trace")
     p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=integer, required=True)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

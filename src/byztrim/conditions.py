@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from byztrim import _kernels
-from byztrim.digraph import Digraph, _is_int
+from byztrim._inputs import int_value
+from byztrim.digraph import Digraph
 
 SYNC = "sync"
 ASYNC = "async"
@@ -51,14 +52,6 @@ def threshold(f: int, mode: str) -> int:
     if mode == ASYNC:
         return 2 * f + 1
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _check_f(f) -> None:
-    """Reject a fault bound that is not a non-negative integer (or is a boolean)."""
-    if not _is_int(f):
-        raise ValueError(f"f must be an integer, got {f!r}")
-    if f < 0:
-        raise ValueError("f must be >= 0")
 
 
 def _unmask(mask: int) -> frozenset[int]:
@@ -243,7 +236,7 @@ def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
     Reports n <= 5f, and (for f > 0) every node with in-degree below 3f+1.
     An empty list means "not disproven", not "pass".
     """
-    _check_f(f)
+    int_value(f, "f", 0)
     out = []
     if g.n <= 5 * f:
         out.append(
@@ -273,7 +266,7 @@ def check_partition_condition(
     is the number of search nodes visited; once it exceeds `budget` the
     verdict is "budget-exceeded" with examined == budget + 1.
     """
-    _check_f(f)
+    int_value(f, "f", 0)
     r = threshold(f, mode)
     violations: tuple[DegreeViolation, ...] = ()
     if mode == ASYNC:
@@ -309,7 +302,7 @@ def check_reduced_graph_condition(
     has exactly one source component.  Decides the synchronous condition;
     serves as the independent oracle for check_partition_condition(sync).
     """
-    _check_f(f)
+    int_value(f, "f", 0)
     return _reduction_report(g, f, "reduced-graph", 1, budget)
 
 
@@ -318,5 +311,5 @@ def check_source_component_size(
 ) -> ConditionReport:
     """Pass iff every reduced graph has a unique source component with at
     least f+1 nodes (a necessary consequence of the partition condition)."""
-    _check_f(f)
+    int_value(f, "f", 0)
     return _reduction_report(g, f, "source-size", f + 1, budget)

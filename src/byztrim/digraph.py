@@ -9,14 +9,11 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from byztrim._inputs import is_int
+
 
 class GraphError(ValueError):
     """Raised for malformed graph documents or invalid graph arguments."""
-
-
-def _is_int(x) -> bool:
-    # bool is an int subclass, but true/false are not node ids or counts.
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class Digraph:
@@ -29,7 +26,7 @@ class Digraph:
     __slots__ = ("n", "edges", "in_nbrs", "out_nbrs", "f_hint", "_in_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], f_hint: int | None = None):
-        if not _is_int(n) or n < 1:
+        if not is_int(n) or n < 1:
             raise GraphError(f"node count must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         ins: list[set[int]] = [set() for _ in range(n)]
@@ -39,7 +36,7 @@ class Digraph:
                 i, j = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a pair of node ids, got {e!r}") from None
-            if not (_is_int(i) and _is_int(j)):
+            if not (is_int(i) and is_int(j)):
                 raise GraphError(f"edge endpoints must be integers, got {e!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge {e!r} out of range for n={n}")
@@ -123,6 +120,6 @@ def parse_graph(document: str | dict) -> Digraph:
             raise GraphError(f"malformed edge entry {e!r}")
         edges.append((e[0], e[1]))
     f_hint = obj.get("f")
-    if f_hint is not None and (not _is_int(f_hint) or f_hint < 0):
+    if f_hint is not None and (not is_int(f_hint) or f_hint < 0):
         raise GraphError(f'"f" must be a non-negative integer, got {f_hint!r}')
     return Digraph(obj["n"], edges, f_hint=f_hint)

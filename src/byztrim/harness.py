@@ -4,18 +4,44 @@ verification, and seeded batch runs."""
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterator, Sequence
 
+from byztrim._inputs import INT, REAL, int_value, spec_params
 from byztrim.digraph import Digraph
 from byztrim.simnet import SimConfig, Trace, run_simulation
 
 CONTRACTION_SLACK = 1e-9
 
-GRAPH_KINDS = ("complete", "cycle", "random-uniform", "counterexample-k5")
+
+def _cycle(p: dict, seed: int) -> Digraph:
+    n = p["n"]
+    if n < 2:
+        raise ValueError(f"cycle needs n >= 2, got {n}")
+    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _random_uniform(p: dict, seed: int) -> Digraph:
+    n, prob = p["n"], p["p"]
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"edge probability must be in [0,1], got {prob}")
+    rng = random.Random(seed)
+    return Digraph(n, [e for e in permutations(range(n), 2) if rng.random() < prob])
+
+
+# kind -> (params and their types, required params, factory of the graph
+# from the checked params and the seed), checked by spec_params as the
+# simulator's scheduler and byzantine kinds are.
+_GENERATORS = {
+    "complete": ({"n": INT}, ("n",), lambda p, seed: Digraph(p["n"], permutations(range(p["n"]), 2))),
+    "cycle": ({"n": INT}, ("n",), _cycle),
+    "random-uniform": ({"n": INT, "p": REAL}, ("n", "p"), _random_uniform),
+    "counterexample-k5": ({}, (), lambda p, seed: Digraph(5, permutations(range(5), 2), f_hint=1)),
+}
+GRAPH_KINDS = tuple(_GENERATORS)
 
 
 def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Digraph:
@@ -24,45 +50,12 @@ def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Digr
     complete(n); cycle(n >= 2); random-uniform(n, p) with each ordered pair
     included independently with probability p; counterexample-k5 is the
     5-node complete graph, the smallest instance that defeats f=1 in
-    asynchronous mode.  `n` must be an integer and `p` a real number (not
-    a boolean or a string); a missing or mistyped parameter raises
-    ValueError.
+    asynchronous mode.  `n` must be an integer and `p` a finite real (not
+    a boolean or a string); an unknown kind, an unknown, missing or
+    mistyped parameter raises ValueError.
     """
-    params = params or {}
-
-    def param(name: str, real: bool = False):
-        if name not in params:
-            raise ValueError(f"{kind} graph is missing parameter {name!r}")
-        value = params[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-            expected = "a real number" if real else "an integer"
-            raise ValueError(f"{kind} graph parameter {name!r} must be {expected}, got {value!r}")
-        return value
-
-    if kind == "complete":
-        n = param("n")
-        return Digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
-    if kind == "cycle":
-        n = param("n")
-        if n < 2:
-            raise ValueError(f"cycle needs n >= 2, got {n}")
-        return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "random-uniform":
-        n = param("n")
-        p = param("p", real=True)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability must be in [0,1], got {p}")
-        rng = random.Random(seed)
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and rng.random() < p
-        ]
-        return Digraph(n, edges)
-    if kind == "counterexample-k5":
-        return Digraph(5, [(i, j) for i in range(5) for j in range(5) if i != j], f_hint=1)
-    raise ValueError(f"unknown graph kind {kind!r}; known: {', '.join(GRAPH_KINDS)}")
+    checked = spec_params(kind, {} if params is None else params, "graph kind", _GENERATORS, 0)
+    return _GENERATORS[kind][2](checked, seed)
 
 
 def all_digraphs(n: int) -> Iterator[Digraph]:
@@ -97,6 +90,8 @@ def verify_contraction(
     absolute slack for float accumulation).  Also reports the worst
     per-window shrink factor actually observed.
     """
+    int_value(n, "n")
+    int_value(f, "f", 0)
     if not spreads:
         raise ValueError("trace has no rounds")
     window = n - f - 1
@@ -146,19 +141,7 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one seed")
 
 
-def _run_seed(config: SimConfig, seed: int) -> Trace:
-    return run_simulation(dataclasses.replace(config, seed=seed))
-
-
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Trace]:
-    """Run every seed; results come back in seed order regardless of the
-    worker pool's completion order."""
+def run_experiment(spec: ExperimentSpec) -> list[Trace]:
+    """Run every seed, in seed order."""
     spec.validate()
-    if workers and workers > 1:
-        # Imported here: concurrent.futures pulls in multiprocessing, which
-        # costs every `import byztrim` about 2.5 MB and most runs never use it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_seed, itertools.repeat(spec.config), spec.seeds))
-    return [_run_seed(spec.config, s) for s in spec.seeds]
+    return [run_simulation(dataclasses.replace(spec.config, seed=s)) for s in spec.seeds]

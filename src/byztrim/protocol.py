@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from math import copysign
 
+from byztrim._inputs import int_value
 from byztrim.digraph import Digraph
 
 
@@ -48,10 +49,9 @@ class NodeState:
     )
 
     def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool = False):
-        if not 0 <= node_id < g.n:
+        if not 0 <= int_value(node_id, "node id") < g.n:
             raise ProtocolError(f"node id {node_id} out of range for n={g.n}")
-        if f < 0:
-            raise ProtocolError("f must be >= 0")
+        int_value(f, "f", 0)
         self.id = node_id
         self.value = float(value)
         self.round = 1
@@ -152,10 +152,7 @@ def compute_alpha(g: Digraph, f: int) -> Fraction:
     Every node averages |in|+1-3f values at equal weight, so the minimum
     weight is the unit fraction 1/(max in-degree + 1 - 3f).
     """
-    if f < 0:
-        raise ProtocolError("f must be >= 0")
-    if g.n == 0:
-        raise ProtocolError("empty graph")
+    int_value(f, "f", 0)
     degrees = [len(g.in_nbrs[v]) for v in g.nodes]
     if f > 0 and min(degrees) < 3 * f + 1:
         bad = min(range(g.n), key=lambda v: len(g.in_nbrs[v]))

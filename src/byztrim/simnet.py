@@ -14,13 +14,15 @@ import csv
 import io
 import json
 import random
-import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
+from byztrim._inputs import (
+    FLOAT_MAX, NODES, REAL, int_value, json_list, json_number, json_object, real_value, spec_params
+)
 from byztrim.digraph import Digraph, parse_graph
 from byztrim.conditions import Partition
 from byztrim.protocol import NodeState, RoundMessage, init_node
@@ -67,21 +69,20 @@ class SimConfig:
 
     def validate(self) -> tuple[dict, dict | None]:
         """Check every rule of a config, loaded from JSON or built in Python:
-        `f`, `seed` and `max_rounds` are integers (not booleans), `fault_set`
-        entries integers, `inputs` and `epsilon` finite reals; the range
-        rules below; known scheduler and byzantine kinds with valid params
-        (the kind tables _SCHEDULERS and _BEHAVIORS).  Return the checked
-        scheduler and byzantine params (None without a byzantine spec) as
-        floats and tuples of node ids.  Anything else raises ValueError."""
-        for name in ("f", "seed", "max_rounds"):
-            _int_value(getattr(self, name), name)
+        `f`, `seed` and `max_rounds` are integers (not booleans), `f` >= 0
+        and `max_rounds` >= 1, `fault_set` entries integers, `inputs` and
+        `epsilon` finite reals; the range rules below; known scheduler and
+        byzantine kinds with valid params (the kind tables _SCHEDULERS and
+        _BEHAVIORS, checked by spec_params).  Return the checked scheduler and byzantine
+        params (None without a byzantine spec) as floats and tuples of node
+        ids.  Anything else raises ValueError."""
+        for name, minimum in (("f", 0), ("seed", None), ("max_rounds", 1)):
+            int_value(getattr(self, name), name, minimum)
         for v in self.fault_set:
-            _int_value(v, "fault_set entry")
+            int_value(v, "fault_set entry")
         for x in self.inputs:
-            _real_value(x, "input")
-        _real_value(self.epsilon, "epsilon")
-        if self.f < 0:
-            raise ValueError("f must be >= 0")
+            real_value(x, "input")
+        real_value(self.epsilon, "epsilon")
         if len(self.fault_set) > self.f:
             raise ValueError(f"|fault set|={len(self.fault_set)} exceeds f={self.f}")
         if not self.fault_set <= set(self.graph.nodes):
@@ -92,15 +93,13 @@ class SimConfig:
             raise ValueError(f"need {self.graph.n} inputs, got {len(self.inputs)}")
         if self.fault_set and self.byzantine is None:
             raise ValueError("fault set given without a byzantine behavior")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        n = self.graph.n
-        scheduler = _spec_params(self.scheduler, "scheduler", _SCHEDULERS, n)
-        if self.byzantine is None:
+        n, sched, byz = self.graph.n, self.scheduler, self.byzantine
+        scheduler = spec_params(sched.kind, sched.params, "scheduler", _SCHEDULERS, n)
+        if byz is None:
             return scheduler, None
-        return scheduler, _spec_params(self.byzantine, "byzantine behavior", _BEHAVIORS, n)
+        return scheduler, spec_params(byz.kind, byz.params, "byzantine behavior", _BEHAVIORS, n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,29 +121,28 @@ class SimConfig:
     def from_json_dict(cls, d: dict) -> "SimConfig":
         """Build a config from its JSON form.  This checks the JSON shape:
         the config and the scheduler and byzantine specs are objects with
-        no unknown fields, `graph`, `f`, `inputs` and `scheduler` are
-        present (null counts as missing), `inputs` and `fault_set` are
-        lists, and `fault_set` entries are integers before they are hashed
-        (1.0 would pass as node 1).  JSON integers in `inputs` and
+        no unknown fields, `graph`, `f`, `inputs`, `scheduler` and each
+        spec's `kind` are present (null counts as missing), `inputs` and
+        `fault_set` are lists, and `fault_set` entries are integers before
+        they are hashed (1.0 would pass as node 1).  JSON integers in `inputs` and
         `epsilon` load as floats.  The config then goes through validate(),
         so whatever it rejects raises ValueError here too."""
-        _json_object(d, "config", _CONFIG_FIELDS)
-        for name in ("graph", "f", "inputs", "scheduler"):
-            if d.get(name) is None:
-                raise ValueError(f"config is missing {name!r}")
-        sched = _json_spec(d["scheduler"], "scheduler")
-        byz = _json_spec(d.get("byzantine"), "byzantine")
-        fault_set = _json_list(d.get("fault_set", []), "fault_set")
+        json_object(d, "config", _CONFIG_FIELDS, ("graph", "f", "inputs", "scheduler"))
+        sched = json_object(d["scheduler"], "scheduler", _SPEC_FIELDS, ("kind",))
+        byz = d.get("byzantine")
+        if byz is not None:
+            json_object(byz, "byzantine", _SPEC_FIELDS, ("kind",))
+        fault_set = json_list(d.get("fault_set", []), "fault_set")
         config = cls(
             graph=parse_graph(d["graph"]),
             f=d["f"],
-            fault_set=frozenset(_int_value(v, "fault_set entry") for v in fault_set),
-            inputs=tuple(map(_json_number, _json_list(d["inputs"], "inputs"))),
+            fault_set=frozenset(int_value(v, "fault_set entry") for v in fault_set),
+            inputs=tuple(map(json_number, json_list(d["inputs"], "inputs"))),
             scheduler=SchedulerSpec(sched["kind"], sched.get("params", {})),
-            byzantine=ByzantineSpec(byz["kind"], byz.get("params", {})) if byz else None,
+            byzantine=ByzantineSpec(byz["kind"], byz.get("params", {})) if byz is not None else None,
             seed=d.get("seed", 0),
             max_rounds=d.get("max_rounds", 1000),
-            epsilon=_json_number(d.get("epsilon", 0.0)),
+            epsilon=json_number(d.get("epsilon", 0.0)),
         )
         config.validate()
         return config
@@ -158,105 +156,7 @@ _CONFIG_FIELDS = frozenset(
     ("graph", "f", "fault_set", "inputs", "scheduler", "byzantine", "seed", "max_rounds", "epsilon")
 )
 _SPEC_FIELDS = frozenset(("kind", "params"))
-
-
-def _json_object(value, name: str, fields: frozenset[str]) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - fields)
-    if unknown:
-        raise ValueError(f"{name} has unknown field(s) {', '.join(map(repr, unknown))}")
-    return value
-
-
-def _json_spec(value, name: str) -> dict | None:
-    """A scheduler or byzantine object: {"kind": str, "params": {...}}.
-    None (JSON null) passes through for the optional byzantine entry."""
-    if value is None:
-        return None
-    _json_object(value, name, _SPEC_FIELDS)
-    if "kind" not in value:
-        raise ValueError(f"{name} is missing 'kind'")
-    if not isinstance(value["kind"], str):
-        raise ValueError(f"{name} kind must be a string, got {value['kind']!r}")
-    if not isinstance(value.get("params", {}), dict):
-        raise ValueError(f"{name} params must be a JSON object, got {value['params']!r}")
-    return value
-
-
-def _json_list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-# NaN, the infinities and integers beyond the float range all fail
-# `abs(value) <= _FLOAT_MAX` (int-to-float comparison is exact and cannot
-# overflow, where math.isfinite(10**400) raises OverflowError).
-_FLOAT_MAX = sys.float_info.max
-
-
-def _json_number(value):
-    """A JSON integer read where a real belongs, as a float; anything else,
-    an integer beyond the float range included, is left for validate() to
-    check."""
-    return float(value) if type(value) is int and abs(value) <= _FLOAT_MAX else value
-
-
-def _int_value(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _real_value(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _node_ids(value, name: str, n: int) -> tuple[int, ...]:
-    """A list of node ids, each in range(n)."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of node ids, got {value!r}")
-    nodes = tuple(_int_value(v, f"{name} entry") for v in value)
-    for v in nodes:
-        if not 0 <= v < n:
-            raise ValueError(f"{name} entry {v} is not a node of the graph")
-    return nodes
-
-
-_REAL, _NODES = "real", "nodes"
-_SIDES = {"left": _NODES, "center": _NODES, "right": _NODES}
-
-
-def _spec_params(spec, what: str, kinds: dict[str, tuple], n: int) -> dict:
-    """Check a spec's params against its kind's entry in `kinds`, which
-    starts with ({param: _REAL or _NODES}, required params), and return
-    them converted: finite floats and tuples of node ids.  Raises
-    ValueError on an unknown kind, an unknown or missing param, or a value
-    of the wrong type."""
-    try:
-        schema, required = kinds[spec.kind][:2]
-    except KeyError:
-        raise ValueError(f"unknown {what} {spec.kind!r}") from None
-    params = spec.params
-    if not isinstance(params, dict):
-        raise ValueError(f"{what} params must be a JSON object, got {params!r}")
-    unknown = sorted(set(params) - set(schema))
-    if unknown:
-        raise ValueError(
-            f"{what} {spec.kind!r} has unknown param(s) {', '.join(map(repr, unknown))}"
-        )
-    missing = [name for name in required if name not in params]
-    if missing:
-        raise ValueError(f"{what} {spec.kind!r} is missing param(s) {', '.join(map(repr, missing))}")
-    return {
-        name: _real_value(value, f"{what} param {name!r}")
-        if schema[name] == _REAL
-        else _node_ids(value, f"{what} param {name!r}", n)
-        for name, value in params.items()
-    }
+_SIDES = {"left": NODES, "center": NODES, "right": NODES}
 
 
 class PendingMessage(NamedTuple):
@@ -359,12 +259,12 @@ def _silent_behavior(p: dict, seed: int):
 # `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
 _BEHAVIORS = {
     "split": (
-        {"m": _REAL, "M": _REAL, "m_minus": _REAL, "M_plus": _REAL, **_SIDES},
+        {"m": REAL, "M": REAL, "m_minus": REAL, "M_plus": REAL, **_SIDES},
         ("m", "M"),
         _split_behavior,
     ),
-    "identical-wrong": ({"value": _REAL}, ("value",), _identical_wrong_behavior),
-    "random": ({"low": _REAL, "high": _REAL}, (), _random_behavior),
+    "identical-wrong": ({"value": REAL}, ("value",), _identical_wrong_behavior),
+    "random": ({"low": REAL, "high": REAL}, (), _random_behavior),
     "silent": ({}, (), _silent_behavior),
 }
 
@@ -835,41 +735,53 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
         fh.write("".join(rows))
 
 
-# int() and float() accept digit-group underscores and skip surrounding
-# whitespace; a trace CSV cell holds neither.  Only a file with one of these
-# characters, a quote (a quoted cell can hold a line break) or non-ASCII
-# text (which can hold other whitespace) needs its cells checked.
+# int() and float() accept digit-group underscores, surrounding whitespace
+# and non-ASCII digits, and int() a sign; a trace CSV cell holds none of
+# these.  Every round and nodeId cell must pass isdigit(), which admits
+# exactly 0-9 in ASCII text; only a file with one of these marks, a quote
+# (a quoted cell can hold a line break) or non-ASCII text needs each cell
+# checked in full.
 _LAX_MARKS = '_ \t\v\f"'
 
 
-def _lax(cell: str) -> bool:
-    """True for a cell that int() or float() reads past a character it
-    should reject: an underscore or surrounding whitespace."""
-    return "_" in cell or cell != cell.strip()
+def _int_cell(cell: str) -> int:
+    """A round or nodeId cell: ASCII digits only."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError
+    return int(cell)
 
 
-def _bad_cell(row: list[str], line: int, columns) -> str:
-    """The message for a trace CSV row with a cell that does not convert
-    or is lax: the first of `columns` ((name, index, int or float), ...)
-    that fails."""
-    for name, at, convert in columns:
+def _real_cell(cell: str) -> float:
+    """A value cell: what float() reads, but no underscore, surrounding
+    whitespace or non-ASCII text."""
+    if "_" in cell or cell != cell.strip() or not cell.isascii():
+        raise ValueError
+    return float(cell)
+
+
+_COLUMNS = (("round", _int_cell), ("nodeId", _int_cell), ("value", _real_cell))
+
+
+def _bad_cell(row: list[str], line: int, at: tuple[int, int, int]) -> str:
+    """The message for a trace CSV row with a cell that does not convert:
+    the first of its round, nodeId and value cells (at indexes `at`) that
+    fails."""
+    for (name, convert), i in zip(_COLUMNS, at):
         try:
-            if _lax(row[at]):
-                raise ValueError
-            convert(row[at])
+            convert(row[i])
         except ValueError:
-            kind = "an integer" if convert is int else "a number"
-            return f"trace CSV line {line} column {name!r} is not {kind}: {row[at]!r}"
+            kind = "an integer" if convert is _int_cell else "a number"
+            return f"trace CSV line {line} column {name!r} is not {kind}: {row[i]!r}"
 
 
 def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
     column (an empty file lacks all three), a row with too few fields, a
-    round or nodeId that is not an integer, a value that is not a finite
-    number (a cell with an underscore or surrounding whitespace is
-    neither), a repeated (round, nodeId) pair or a gap in a node's rounds
+    round or nodeId that is not ASCII digits, a value that is not a finite
+    number (or has an underscore, surrounding whitespace or non-ASCII
+    text), a repeated (round, nodeId) pair or a gap in a node's rounds
     raises ValueError; blank lines are skipped."""
-    values: dict[int, dict[int, float]] = {}
+    values: defaultdict[int, dict[int, float]] = defaultdict(dict)
     with open(path, newline="") as fh:
         text = fh.read()
         lax = not text.isascii() or any(mark in text for mark in _LAX_MARKS)
@@ -883,18 +795,21 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
         for row in filter(None, reader):
             if len(row) < width:
                 raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
+            round_cell, node_cell, value_cell = row[at_round], row[at_node], row[at_value]
             try:
-                node, t, value = int(row[at_node]), int(row[at_round]), float(row[at_value])
-                if lax and (_lax(row[at_round]) or _lax(row[at_node]) or _lax(row[at_value])):
+                if lax:
+                    node, t, value = _int_cell(node_cell), _int_cell(round_cell), _real_cell(value_cell)
+                elif round_cell.isdigit() and node_cell.isdigit():
+                    node, t, value = int(node_cell), int(round_cell), float(value_cell)
+                else:
                     raise ValueError
             except ValueError:
-                columns = (("round", at_round, int), ("nodeId", at_node, int), ("value", at_value, float))
-                raise ValueError(_bad_cell(row, reader.line_num, columns)) from None
-            by_round = values.setdefault(node, {})
+                raise ValueError(_bad_cell(row, reader.line_num, (at_round, at_node, at_value))) from None
+            by_round = values[node]
             if t in by_round:
                 raise ValueError(f"trace CSV line {reader.line_num} repeats round {t} of node {node}")
-            if not abs(value) <= _FLOAT_MAX:
-                raise ValueError(f"trace CSV line {reader.line_num} has non-finite value {row[at_value]!r}")
+            if not abs(value) <= FLOAT_MAX:
+                raise ValueError(f"trace CSV line {reader.line_num} has non-finite value {value_cell!r}")
             by_round[t] = value
     out = {}
     for node, by_round in values.items():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from byztrim import cli
+from byztrim._inputs import decimal, integer
 from byztrim.cli import main
 from byztrim.conditions import check_partition_condition, check_reduced_graph_condition
 from byztrim.digraph import parse_graph
@@ -48,14 +49,46 @@ class TestGen:
     def test_missing_n(self, tmp_path, capsys):
         rc = main(["gen", "--kind", "cycle", "--out", str(tmp_path / "c.json")])
         assert rc == 2
-        assert "--n is required" in capsys.readouterr().err
+        assert "graph kind 'cycle' is missing param(s) 'n'" in capsys.readouterr().err
 
     def test_random_uniform_missing_p(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         rc = main(["gen", "--kind", "random-uniform", "--n", "4", "--out", str(out)])
         assert rc == 2
-        assert "--p is required" in capsys.readouterr().err
+        assert "graph kind 'random-uniform' is missing param(s) 'p'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_param(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc = main(["gen", "--kind", "complete", "--n", "5", "--p", "0.3", "--out", str(out)])
+        assert rc == 2
+        assert "graph kind 'complete' has unknown param(s) 'p'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumbers:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # int() reads each of these: a non-ASCII digit, surrounding
+            # whitespace with a sign, a digit-group underscore.
+            (["gen", "--kind", "complete", "--n", "\u0666"], "argument --n: invalid integer value: '\u0666'"),
+            (["check", "g.json", "--mode", "async", "--f", " +1"], "argument --f: invalid integer value: ' +1'"),
+            (["attack", "g.json", "--f", "1", "--rounds", "1_0"], "argument --rounds: invalid integer value: '1_0'"),
+        ],
+    )
+    def test_rejects_lax_text(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, value", [("-3", -3), ("0", 0), ("12", 12), ("-0.5", -0.5), (".5", 0.5), ("2.", 2.0), ("1e-3", 1e-3)]
+    )
+    def test_accepts_plain_ascii(self, text, value):
+        parse = integer if isinstance(value, int) else decimal
+        assert parse(text) == value and type(parse(text)) is type(value)
 
 
 class TestCheck:

@@ -119,7 +119,7 @@ class TestConfigValidation:
             (lambda d: d.update(sed=1, epsilom=0.1), "unknown field\\(s\\) 'epsilom', 'sed'"),
             (lambda d: d["scheduler"].update(seed=3), "scheduler has unknown field\\(s\\) 'seed'"),
             (lambda d: d.update(scheduler="random"), "scheduler must be a JSON object"),
-            (lambda d: d["byzantine"].update(params=[1]), "byzantine params must be a JSON object"),
+            (lambda d: d["byzantine"].update(params=[1]), "byzantine behavior params must be a JSON object"),
             (lambda d: d.update(inputs=0.5), "inputs must be a list"),
             (lambda d: d.update(fault_set=5), "fault_set must be a list"),
             (lambda d: d.update(fault_set=[4, 5]), "exceeds f"),
@@ -151,6 +151,20 @@ class TestConfigValidation:
             ("scheduler", {"kind": "adaptive-delay", "params": {"middle": []}}, "unknown param\\(s\\) 'middle'"),
             ("scheduler", {"kind": "random", "params": {"seed": 3}}, "unknown param\\(s\\) 'seed'"),
             ("scheduler", {"kind": "psychic"}, "unknown scheduler 'psychic'"),
+            # Partition sides are disjoint: no node in two node lists (or twice in one).
+            (
+                "scheduler",
+                {"kind": "adaptive-delay", "params": {"left": [0, 1], "right": [1, 2, 3], "center": [0]}},
+                "scheduler 'adaptive-delay' lists node\\(s\\) 0, 1 more than once",
+            ),
+            (
+                "byzantine",
+                {"kind": "split", "params": {"m": 0, "M": 1, "left": [2, 4], "right": [3, 4]}},
+                "byzantine behavior 'split' lists node\\(s\\) 4 more than once",
+            ),
+            ("scheduler", {"kind": "adaptive-delay", "params": {"left": [2, 2]}}, "lists node\\(s\\) 2 more than once"),
+            ("scheduler", {"kind": ["random"]}, "scheduler kind must be a string, got \\['random'\\]"),
+            ("byzantine", {"kind": 3}, "byzantine behavior kind must be a string, got 3"),
         ],
     )
     def test_json_rejects_bad_params(self, section, spec, message):
@@ -178,6 +192,8 @@ class TestConfigValidation:
             (dict(max_rounds=2.5), "max_rounds must be an integer"),
             (dict(f=True), "f must be an integer"),
             (dict(fault_set=frozenset({1.0})), "fault_set entry must be an integer"),
+            (dict(scheduler=SchedulerSpec(["x"])), "scheduler kind must be a string"),
+            (dict(scheduler=SchedulerSpec("adaptive-delay", {"left": [0], "right": [0]})), "node\\(s\\) 0 more than once"),
         ],
     )
     def test_python_built_config_checked_like_json(self, edit, message):
@@ -603,6 +619,12 @@ class TestCsvExport:
             ("round,nodeId,value\n0,1,1.0\t\n", "line 2 column 'value' is not a number"),
             ("round,nodeId,value\n0,1,\u30001.0\n", "line 2 column 'value' is not a number"),
             ('round,nodeId,value\n0,"1\n",1.0\n', "line 3 column 'nodeId' is not an integer"),
+            # int() and float() also read non-ASCII digits, and int() a sign.
+            ("round,nodeId,value\n0,\u0661,1.0\n", "line 2 column 'nodeId' is not an integer: '\u0661'"),
+            ("round,nodeId,value\n0,+0,0.5\n", "line 2 column 'nodeId' is not an integer: '\\+0'"),
+            ("round,nodeId,value\n+1,0,0.5\n", "line 2 column 'round' is not an integer: '\\+1'"),
+            ("round,nodeId,value\n-0,0,0.5\n", "line 2 column 'round' is not an integer: '-0'"),
+            ("round,nodeId,value\n0,0,\u0661.5\n", "line 2 column 'value' is not a number: '\u0661.5'"),
         ],
     )
     def test_read_rejects_malformed(self, tmp_path, text, message):
