@@ -641,10 +641,17 @@ def _golden_config(kind: str) -> SimConfig:
         return build_attack_config(k5, 1, w, 0.0, 1.0, max_rounds=60)
     if kind == "adaptive-two-cluster":
         return two_cluster_attack(max_rounds=15)[0]
+    # Faulty node 7 of K8 splits its out-neighbours 0..6 into the runs
+    # (0) low, (1) high, (2) mid, (3, 4) low, (5) high, (6) mid.
+    split = ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [0, 3, 4], "right": [1, 5]})
     sched, n, behavior, seed, max_rounds = {
         "random": ("random", 8, ByzantineSpec("random", {"low": -1.0, "high": 2.0}), 7, 40),
         "fifo": ("fifo", 8, ByzantineSpec("identical-wrong", {"value": 3.0}), 8, 40),
         "synchronous": ("synchronous", 6, ByzantineSpec("random", {"low": -1.0, "high": 2.0}), 9, 20),
+        "split-random": ("random", 8, split, 10, 40),
+        "split-fifo": ("fifo", 8, split, 11, 40),
+        "split-synchronous": ("synchronous", 8, split, 12, 20),
+        "silent-fifo": ("fifo", 8, ByzantineSpec("silent"), 13, 40),
     }[kind]
     rng = random.Random(seed)
     return SimConfig(
@@ -656,9 +663,12 @@ def _golden_config(kind: str) -> SimConfig:
 
 class TestGoldenDeliveryLog:
     """Pinned SHA-256 of repr(trace.deliveries) followed by the trace CSV
-    bytes, one fixed config per scheduler.  The digests were taken from the
-    list-scanning schedulers that the message pools replaced, so a pool
-    that delivers a different message, or in a different order, fails."""
+    bytes, one fixed config per scheduler, and faulty runs of `split` and
+    `silent` under the round-blind schedulers.  The first five digests were
+    taken from the list-scanning schedulers that the message pools
+    replaced, the faulty-run ones from one push per faulty destination, so
+    a pool or a behaviour that delivers a different message, or in a
+    different order, fails."""
 
     GOLDEN = {
         "random": (1475, "b9bad30093b9f64ae674d3137d1f79c2b7cd64edb364ff1bf39ff54fb4088ba4"),
@@ -666,6 +676,10 @@ class TestGoldenDeliveryLog:
         "synchronous": (450, "e9890037f4115f19f993736749357f5275a9736a9e158b6a32314a52258db242"),
         "adaptive-k5": (1199, "dd30c6aaea06eb115bbdebb6e8a2ad58f45af8ac8060ac50531833963c02cf4f"),
         "adaptive-two-cluster": (899, "0397c8306bedb546fc09703c8434e445364bcff1f3297d92c0061d0ec3191f33"),
+        "split-random": (1704, "1c25da95e4b3e1c26e806c62dc9ff5ddac474e815900246bfa6e74505acdcbea"),
+        "split-fifo": (1022, "5f8449658b2b4a85fbbe63dd8cdd3282c339bfdb77d5d0aea629d755a07345e4"),
+        "split-synchronous": (1119, "433aa2360ab7ff0032f46a7cd73c2b8d7cebc5b076ee454d97f3afd635f3dad9"),
+        "silent-fifo": (1151, "b3fc616ed1bc0b3a1f3dc4ddf12636164a8668a8c695e5c0661a9d58023a1040"),
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
