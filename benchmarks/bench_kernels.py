@@ -14,7 +14,8 @@ visited (`examined`) and the seconds taken.
 
 The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
-graphs (f=1, one `random` Byzantine node, fixed round counts), and the
+graphs (f=1, one `random` Byzantine node, fixed round counts), `fifo` on
+K16 with four `split` or four `random` Byzantine nodes (f=4), and the
 adaptive-delay attack on K5 (f=1), K10 (f=2) and a two-cluster graph (two
 complete 5-node clusters with at most 2f cross in-edges per node, f=1, 200
 rounds), the graph class of the median perfbench `attack` op.
@@ -106,16 +107,19 @@ def workloads():
     ]
 
 
-def complete_config(kind: str, n: int, rounds: int) -> simnet.SimConfig:
-    """A fixed run on K_n, f=1, one `random` Byzantine node."""
+RANDOM_FAULT = simnet.ByzantineSpec("random", {"low": -1.0, "high": 2.0})
+
+
+def complete_config(kind: str, n: int, rounds: int, f: int = 1, byzantine=RANDOM_FAULT) -> simnet.SimConfig:
+    """A fixed run on K_n whose last f nodes are Byzantine."""
     rng = random.Random(n)
     return simnet.SimConfig(
         graph=generate_graph("complete", {"n": n}),
-        f=1,
-        fault_set=frozenset({n - 1}),
+        f=f,
+        fault_set=frozenset(range(n - f, n)),
         inputs=tuple(rng.random() for _ in range(n)),
         scheduler=simnet.SchedulerSpec(kind),
-        byzantine=simnet.ByzantineSpec("random", {"low": -1.0, "high": 2.0}),
+        byzantine=byzantine,
         seed=n,
         max_rounds=rounds,
         epsilon=0.0,
@@ -129,6 +133,14 @@ def simulator_configs():
         (f"{kind}, K{n} f=1, {rounds} rounds", complete_config(kind, n, rounds))
         for kind in ("random", "fifo", "synchronous")
         for n, rounds in ((6, 200), (16, 50), (32, 20))
+    ]
+    # A quarter of the nodes faulty: `split` sends each a run of
+    # consecutive out-neighbours (left 0-5, right 6-11), `random` one
+    # message per out-neighbour.
+    split = simnet.ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": list(range(6)), "right": list(range(6, 12))})
+    rows += [
+        (f"fifo, K16 f=4, {kind} faults, 50 rounds", complete_config("fifo", 16, 50, 4, spec))
+        for kind, spec in (("split", split), ("random", RANDOM_FAULT))
     ]
     for name, g, f, rounds in (
         ("K5", generate_graph("counterexample-k5"), 1, 400),

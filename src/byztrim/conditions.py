@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from byztrim import _kernels
-from byztrim._inputs import int_value
+from byztrim._inputs import int_value, json_object, node_ids
 from byztrim.digraph import Digraph
 
 SYNC = "sync"
@@ -88,13 +88,14 @@ class Partition:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Partition":
-        return cls(
-            faulty=frozenset(d.get("F", ())),
-            left=frozenset(d["L"]),
-            center=frozenset(d.get("C", ())),
-            right=frozenset(d["R"]),
-        )
+    def from_json_dict(cls, d: dict, n: int) -> "Partition":
+        """A partition of the nodes range(n) from its JSON form: an object
+        with node-id lists `L` and `R` and optional `F` and `C` (each
+        default empty).  A missing side, an unknown field, a list entry
+        that is not a node id of range(n) (booleans and floats are not) or
+        a node on two sides raises ValueError."""
+        json_object(d, "partition", frozenset("FLCR"), ("L", "R"))
+        return cls(*(frozenset(node_ids(d.get(k, []), f"partition {k}", n)) for k in "FLCR"))
 
 
 @dataclass(frozen=True)

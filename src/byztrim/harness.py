@@ -50,12 +50,12 @@ def generate_graph(kind: str, params: dict | None = None, seed: int = 0) -> Digr
     complete(n); cycle(n >= 2); random-uniform(n, p) with each ordered pair
     included independently with probability p; counterexample-k5 is the
     5-node complete graph, the smallest instance that defeats f=1 in
-    asynchronous mode.  `n` must be an integer and `p` a finite real (not
-    a boolean or a string); an unknown kind, an unknown, missing or
-    mistyped parameter raises ValueError.
+    asynchronous mode.  `n` and `seed` must be integers and `p` a finite
+    real (not a boolean or a string); an unknown kind, an unknown, missing
+    or mistyped parameter, or a mistyped seed raises ValueError.
     """
     checked = spec_params(kind, {} if params is None else params, "graph kind", _GENERATORS, 0)
-    return _GENERATORS[kind][2](checked, seed)
+    return _GENERATORS[kind][2](checked, int_value(seed, "seed"))
 
 
 def all_digraphs(n: int) -> Iterator[Digraph]:

@@ -9,12 +9,12 @@ together with its own value at equal weight 1/(|in-neighbours|+1-3f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import copysign
+from typing import NamedTuple
 
-from byztrim._inputs import int_value
+from byztrim._inputs import int_value, real_value
 from byztrim.digraph import Digraph
 
 
@@ -22,17 +22,36 @@ class ProtocolError(ValueError):
     """Raised on protocol-rule violations (bad sender, degree too small, ...)."""
 
 
-@dataclass(frozen=True, slots=True)
-class RoundMessage:
-    """A value announcement tagged with the round index it belongs to."""
-
+class _MessageFields(NamedTuple):
     sender: int
     tag: int
     value: float
 
-    def __post_init__(self):
-        if self.tag < 0:
-            raise ProtocolError(f"message tag must be >= 0, got {self.tag}")
+
+class RoundMessage(_MessageFields):
+    """A value announcement tagged with the round index it belongs to: the
+    named tuple (sender, tag, value).
+
+    The constructor checks its fields: `sender` and `tag` are integers (not
+    booleans), `tag` >= 0, and `value` is a finite real, stored as a float;
+    anything else raises ProtocolError.  Messages built from state that is
+    checked already skip the check through
+    `tuple.__new__(RoundMessage, (sender, tag, value))`, as the simulator
+    does, and hot paths unpack a message instead of loading its fields by
+    name."""
+
+    __slots__ = ()
+
+    def __new__(cls, sender: int, tag: int, value: float):
+        try:
+            fields = (
+                int_value(sender, "message sender"),
+                int_value(tag, "message tag", 0),
+                real_value(value, "message value"),
+            )
+        except ValueError as e:
+            raise ProtocolError(str(e)) from None
+        return tuple.__new__(cls, fields)
 
 
 class NodeState:
@@ -77,23 +96,23 @@ class NodeState:
         """The round-opening transmission: the current value, tagged
         round-1, sent alike to every node of `out_nbrs` (no self-message;
         the own value joins the update directly)."""
-        return RoundMessage(self.id, self.round - 1, self.value)
+        return tuple.__new__(RoundMessage, (self.id, self.round - 1, self.value))
 
     def ingest_message(self, m: RoundMessage) -> bool:
         """Buffer a received message.  Returns True if stored, False if the
         message was stale or a duplicate for its (sender, tag) slot."""
-        sender, tag = m.sender, m.tag
+        sender, tag, value = m
         if sender not in self.in_nbrs:
             raise ProtocolError(f"node {self.id} got message from non-neighbour {sender}")
         if tag < self.round - 1:
             return False
         slot = self.buffer.get(tag)
         if slot is None:
-            self.buffer[tag] = {sender: m.value}
+            self.buffer[tag] = {sender: value}
             return True
         if sender in slot:
             return False
-        slot[sender] = m.value
+        slot[sender] = value
         return True
 
     def round_ready(self) -> bool:

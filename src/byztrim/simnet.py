@@ -15,9 +15,10 @@ import io
 import json
 import random
 from collections import defaultdict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable, NamedTuple
 
 from byztrim._inputs import (
@@ -178,17 +179,65 @@ class Delivery(NamedTuple):
     value: float
 
 
+# tuple.__new__(cls, fields) is the body of a named tuple's _make without its
+# Python frame: it builds a Delivery or a RoundMessage in C, unchecked.
+_new = tuple.__new__
+
+
+def _delivery(vt: int, pm: PendingMessage) -> Delivery:
+    _, dest, (sender, tag, value) = pm
+    return _new(Delivery, (vt, sender, dest, tag, value))
+
+
+class DeliveryLog(Sequence):
+    """A run's deliveries, read-only: the messages in the order the
+    scheduler popped them, kept as popped.  Delivery k (virtual time k + 1)
+    is built from the k-th popped (sequence, destination, message) only
+    when it is read, so `len` builds nothing.  Indexes (negative ones and
+    slices too), iteration, `==` against a list or another log, and `repr`
+    give what a list of Delivery records gives."""
+
+    __slots__ = ("_popped",)
+
+    def __init__(self, popped: list[PendingMessage]):
+        self._popped = popped
+
+    def __len__(self) -> int:
+        return len(self._popped)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_delivery(k + 1, self._popped[k]) for k in range(*index.indices(len(self._popped)))]
+        k = range(len(self._popped))[index]  # a negative or out-of-range index as a list reads it
+        return _delivery(k + 1, self._popped[k])
+
+    def __iter__(self):
+        for vt, (_, dest, (sender, tag, value)) in enumerate(self._popped, 1):
+            yield _new(Delivery, (vt, sender, dest, tag, value))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (DeliveryLog, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Trace:
     """Round-indexed value history of the fault-free nodes plus the full
     delivery log.  u_levels/mu_levels cover rounds every fault-free node has
-    completed (the "common" rounds)."""
+    completed (the "common" rounds).  `deliveries` is a DeliveryLog in a
+    run's trace; a list of Delivery records reads the same."""
 
     config: SimConfig
     values: dict[int, list[float]]
     u_levels: list[float]
     mu_levels: list[float]
-    deliveries: list[Delivery]
+    deliveries: Sequence[Delivery]
     outcome: str  # "converged" | "max-rounds-hit"
     converged_round: int | None
 
@@ -217,46 +266,53 @@ def _derived_rng(seed: int, node: int, tag: int) -> random.Random:
 
 def _split_behavior(p: dict, seed: int):
     m, big_m = p["m"], p["M"]
-    low = p.get("m_minus", m - 1.0)
-    high = p.get("M_plus", big_m + 1.0)
-    mid = (m + big_m) / 2.0
+    levels = (p.get("m_minus", m - 1.0), p.get("M_plus", big_m + 1.0), (m + big_m) / 2.0)
     left = set(p.get("left", ()))
     right = set(p.get("right", ()))
+    # out-neighbour tuple -> its runs as (dests, index into levels)
+    plans: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
 
-    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> dict[int, RoundMessage]:
-        lo, hi, md = (RoundMessage(node, tag, x) for x in (low, high, mid))
-        return {dest: lo if dest in left else hi if dest in right else md for dest in out_nbrs}
+    def level(dest: int) -> int:
+        return 0 if dest in left else 1 if dest in right else 2
+
+    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> list[tuple[tuple[int, ...], RoundMessage]]:
+        plan = plans.get(out_nbrs)
+        if plan is None:
+            plan = plans[out_nbrs] = tuple((tuple(run), k) for k, run in groupby(out_nbrs, level))
+        sent = [_new(RoundMessage, (node, tag, x)) for x in levels]
+        return [(dests, sent[k]) for dests, k in plan]
 
     return messages
 
 
 def _identical_wrong_behavior(p: dict, seed: int):
     value = p["value"]
-    return lambda node, tag, out_nbrs: dict.fromkeys(out_nbrs, RoundMessage(node, tag, value))
+    return lambda node, tag, out_nbrs: [(out_nbrs, _new(RoundMessage, (node, tag, value)))]
 
 
 def _random_behavior(p: dict, seed: int):
     low = p.get("low", 0.0)
     high = p.get("high", 1.0)
 
-    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> dict[int, RoundMessage]:
-        rng = _derived_rng(seed, node, tag)
-        return {dest: RoundMessage(node, tag, rng.uniform(low, high)) for dest in out_nbrs}
+    def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> list[tuple[tuple[int, ...], RoundMessage]]:
+        uniform = _derived_rng(seed, node, tag).uniform
+        return [((dest,), _new(RoundMessage, (node, tag, uniform(low, high)))) for dest in out_nbrs]
 
     return messages
 
 
 def _silent_behavior(p: dict, seed: int):
-    return lambda node, tag, out_nbrs: {}
+    return lambda node, tag, out_nbrs: []
 
 
 # kind -> (params and their types, required params, behavior factory); the
 # first two are what SimConfig.validate checks a spec against.  The factory
 # turns the checked params and the run's seed into
-# `messages(node, round_tag, out_nbrs)`, a faulty node's per-out-edge
-# messages for one round tag (destinations sent one value share one
-# message).  Defaults: "split" `m_minus` m-1, `M_plus` M+1, node lists
-# `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
+# `messages(node, round_tag, out_nbrs)`, a faulty node's messages for one
+# round tag as (dests, message) runs in out-neighbour order: a run is a
+# maximal stretch of consecutive out-neighbours sent the same message
+# ("random" sends each its own).  Defaults: "split" `m_minus` m-1, `M_plus`
+# M+1, node lists `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
 _BEHAVIORS = {
     "split": (
         {"m": REAL, "M": REAL, "m_minus": REAL, "M_plus": REAL, **_SIDES},
@@ -281,9 +337,10 @@ def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, 
     _, params = config.validate()
     if node not in config.fault_set:
         raise ValueError(f"node {node!r} is not in the fault set")
+    int_value(round_tag, "round tag", 0)
     behavior = _BEHAVIORS[config.byzantine.kind][2](params, config.seed)
-    messages = behavior(node, round_tag, tuple(sorted(config.graph.out_nbrs[node])))
-    return {dest: msg.value for dest, msg in messages.items()}
+    runs = behavior(node, round_tag, tuple(sorted(config.graph.out_nbrs[node])))
+    return {dest: msg.value for dests, msg in runs for dest in dests}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +402,8 @@ class FifoScheduler(_RoundBlind):
         return sum(map(len, self.links.values()))
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        links, sender = self.links, msg.sender
+        links = self.links
+        sender, _, _ = msg
         for i, dest in enumerate(dests, seq):
             link = (sender, dest)
             queue = links[link]
@@ -383,7 +441,8 @@ class SynchronousScheduler(_RoundBlind):
         return len(self.heap)
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        heap, tag = self.heap, msg.tag
+        heap = self.heap
+        _, tag, _ = msg
         for i, dest in enumerate(dests, seq):
             heappush(heap, (tag, i, (i, dest, msg)))
 
@@ -449,15 +508,15 @@ class AdaptiveDelayScheduler:
         return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        plan = self.plans.get(msg.sender)
+        sender, tag, _ = msg
+        plan = self.plans.get(sender)
         if plan is None:
             self.queue.extend(zip(range(seq, seq + len(dests)), dests, repeat(msg)))
             return
         if plan[0] != dests:
-            plan = self._plan(msg.sender, dests)
+            plan = self._plan(sender, dests)
         _, opened, receivers, closed = plan
         self.queue.extend(zip(map(seq.__add__, opened), receivers, repeat(msg)))
-        tag = msg.tag
         for i, dest in closed:
             pm = (seq + i, dest, msg)
             # Held while the receiver could still use the tag (round <= tag+1).
@@ -520,8 +579,10 @@ def run_simulation(config: SimConfig) -> Trace:
     readiness unchanged.
 
     A fault-free node's round broadcast is one scheduler push; a faulty
-    node's messages are one push each, in out-neighbour order.  Each rise
-    of a node's round reaches the scheduler through its `advanced` hook."""
+    node's is one push per run of its behaviour, in out-neighbour order.
+    Each rise of a node's round reaches the scheduler through its
+    `advanced` hook.  The delivery log keeps each popped message as the
+    pool returned it (see DeliveryLog)."""
     scheduler_params, byzantine_params = config.validate()
     g, f = config.graph, config.f
     faulty = config.fault_set
@@ -532,7 +593,7 @@ def run_simulation(config: SimConfig) -> Trace:
         v: init_node(v, config.inputs[v], g, f, require_all=require_all) for v in g.nodes
     }
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
-    deliveries: list[Delivery] = []
+    popped: list[PendingMessage] = []
     scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
     push, pop, advanced = scheduler.push, scheduler.pop, scheduler.advanced
     behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
@@ -543,10 +604,9 @@ def run_simulation(config: SimConfig) -> Trace:
         nonlocal seq
         st = states[v]
         if v in faulty:
-            # One push per destination keeps the sequence in out-neighbour order.
-            for dest, msg in behavior(v, st.round - 1, st.out_nbrs).items():
-                push(seq, (dest,), msg)
-                seq += 1
+            for dests, msg in behavior(v, st.round - 1, st.out_nbrs):
+                push(seq, dests, msg)
+                seq += len(dests)
         else:
             push(seq, st.out_nbrs, st.outgoing_message())
             seq += len(st.out_nbrs)
@@ -603,16 +663,15 @@ def run_simulation(config: SimConfig) -> Trace:
             if states[v].round_ready():
                 process_ready(v)
 
-    record = deliveries.append
-    # The body of Delivery._make without its Python frame (runs in C).
-    new_tuple = tuple.__new__
+    record = popped.append
     while outcome is None:
         if vt == seq:
             raise SimulationError("no pending messages but the run is not finished")
-        _, dest, msg = pop()
+        pm = pop()
+        record(pm)
         vt += 1
-        tag = msg.tag
-        record(new_tuple(Delivery, (vt, msg.sender, dest, tag, msg.value)))
+        _, dest, msg = pm
+        _, tag, _ = msg
         st = states[dest]
         if st.ingest_message(msg) and tag == st.round - 1 and len(st.buffer[tag]) == st.expected_count:
             process_ready(dest)
@@ -622,7 +681,7 @@ def run_simulation(config: SimConfig) -> Trace:
         values=values,
         u_levels=u_levels,
         mu_levels=mu_levels,
-        deliveries=deliveries,
+        deliveries=DeliveryLog(popped),
         outcome=outcome,
         converged_round=converged_round,
     )

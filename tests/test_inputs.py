@@ -12,6 +12,7 @@ import pytest
 
 from byztrim.cli import main
 from byztrim.conditions import (
+    Partition,
     check_partition_condition,
     check_reduced_graph_condition,
     check_source_component_size,
@@ -19,7 +20,7 @@ from byztrim.conditions import (
 )
 from byztrim.digraph import Digraph, parse_graph
 from byztrim.harness import generate_graph, verify_contraction
-from byztrim.protocol import NodeState, compute_alpha
+from byztrim.protocol import NodeState, RoundMessage, compute_alpha
 from byztrim.simnet import ByzantineSpec, SchedulerSpec, SimConfig, read_trace_csv
 from conftest import complete
 
@@ -54,12 +55,17 @@ INTEGER_SLOTS = {
     "verify_contraction n": lambda x: verify_contraction([1.0], Fraction(1, 3), x, 1),
     "verify_contraction f": lambda x: verify_contraction([1.0], Fraction(1, 3), 6, x),
     "generate_graph n": lambda x: generate_graph("complete", {"n": x}),
+    "generate_graph seed": lambda x: generate_graph("random-uniform", {"n": 4, "p": 0.5}, seed=x),
+    "Partition node list": lambda x: Partition.from_json_dict({"L": [x], "R": [1]}, 6),
+    "RoundMessage sender": lambda x: RoundMessage(x, 0, 0.5),
+    "RoundMessage tag": lambda x: RoundMessage(1, x, 0.5),
 }
 REAL_SLOTS = {
     "SimConfig input": lambda x: config(inputs=(x,) + (0.0,) * 5),
     "SimConfig epsilon": lambda x: config(epsilon=x),
     "byzantine param": lambda x: config(byzantine=ByzantineSpec("identical-wrong", {"value": x})),
     "generate_graph p": lambda x: generate_graph("random-uniform", {"n": 4, "p": x}),
+    "RoundMessage value": lambda x: RoundMessage(1, 0, x),
 }
 NAN, INF = float("nan"), float("inf")
 BAD_INTEGERS = (True, 1.5, 6.0, "1", NAN, INF)
@@ -100,6 +106,7 @@ ROWS = (
     # Counts: f is at least 0 and max_rounds at least 1.
     + [(f"{name}=-1", INTEGER_SLOTS[name], -1, "non-negative|>= 0") for name in INTEGER_SLOTS if name.endswith(" f")]
     + [("SimConfig max_rounds=0", INTEGER_SLOTS["SimConfig max_rounds"], 0, ">= 1")]
+    + [("RoundMessage tag=-1", INTEGER_SLOTS["RoundMessage tag"], -1, ">= 0")]
     # float() reading a leading '+' in a value cell is not lax: it is how a
     # number may be written, so the value column takes the other bad texts.
     + [

@@ -92,6 +92,32 @@ class TestIngest:
             RoundMessage(1, -1, 0.0)
 
 
+class TestRoundMessage:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1, True, 0.5), "message tag must be an integer, got True"),
+            ((2, 1.5, 0.5), "message tag must be an integer, got 1.5"),
+            ((False, 0, 0.5), "message sender must be an integer, got False"),
+            ((1, 0, float("nan")), "message value must be a finite number, got nan"),
+        ],
+    )
+    def test_constructor_rejects(self, fields, message):
+        with pytest.raises(ProtocolError, match=message):
+            RoundMessage(*fields)
+
+    def test_named_tuple(self):
+        msg = RoundMessage(3, 1, 2)
+        assert msg == (3, 1, 2.0) and type(msg.value) is float
+        sender, tag, value = msg
+        assert (sender, tag, value) == (msg.sender, msg.tag, msg.value)
+        assert repr(msg) == "RoundMessage(sender=3, tag=1, value=2.0)"
+
+    def test_outgoing_message_is_a_round_message(self):
+        msg = init_node(0, 0.5, Digraph(2, [(0, 1), (1, 0)]), 0).outgoing_message()
+        assert type(msg) is RoundMessage and msg == RoundMessage(0, 0, 0.5)
+
+
 class TestRoundReady:
     def test_all_but_f(self):
         g = star_in(4)

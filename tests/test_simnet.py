@@ -19,6 +19,7 @@ from byztrim.simnet import (
     AdaptiveDelayScheduler,
     ByzantineSpec,
     Delivery,
+    DeliveryLog,
     FifoScheduler,
     PendingMessage,
     RandomScheduler,
@@ -694,6 +695,52 @@ class TestGoldenDeliveryLog:
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
+class TestDeliveryLog:
+    """trace.deliveries keeps the popped (sequence, destination, message)
+    tuples and reads as the list of Delivery records they stand for."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run_simulation(k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -1, "high": 2})))
+
+    def test_len_builds_no_record(self):
+        # Entries that no record can be built from: len must not read them.
+        assert len(DeliveryLog([None] * 3)) == 3
+        assert len(DeliveryLog([])) == 0
+
+    def test_records(self, trace):
+        log = trace.deliveries
+        assert isinstance(log, DeliveryLog) and len(log) > 100
+        records = list(log)
+        assert all(type(d) is Delivery for d in records)
+        assert [d.virtual_time for d in records] == list(range(1, len(log) + 1))
+        _, dest, msg = log._popped[0]
+        assert records[0] == Delivery(1, msg.sender, dest, msg.tag, msg.value)
+
+    def test_indexes_and_slices(self, trace):
+        log = trace.deliveries
+        records = list(log)
+        for i in (0, 1, len(log) - 1, -1, -2, -len(log)):
+            assert log[i] == records[i] and type(log[i]) is Delivery
+        for i in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        for cut in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3), slice(7, 2), slice(-4, -1, 2)):
+            assert log[cut] == records[cut]
+            assert all(type(d) is Delivery for d in log[cut])
+
+    def test_equality_and_repr(self, trace):
+        log = trace.deliveries
+        records = list(log)
+        assert log == records and records == log
+        assert log == run_simulation(trace.config).deliveries
+        assert log != records[:-1] and log != records[:-1] + [records[0]]
+        assert DeliveryLog([]) == [] and not DeliveryLog([]) != []
+        assert log != tuple(records)
+        assert repr(log) == repr(records)
+        assert repr(DeliveryLog([])) == "[]"
+
+
 class TestInlinedDraw:
     """RandomScheduler and FifoScheduler draw their index with getrandbits
     written out; it must pick what Random(seed).randrange(n) picks, for
@@ -724,13 +771,50 @@ class TestInlinedDraw:
             pool.pop()
 
 
+class TestFaultyRuns:
+    """A faulty node sends one push per run of its behaviour: a maximal
+    stretch of consecutive out-neighbours sent the same message, in
+    out-neighbour order, at consecutive sequence numbers."""
+
+    @staticmethod
+    def _faulty_pushes(monkeypatch, config: SimConfig) -> list[tuple[int, tuple[int, ...], RoundMessage]]:
+        pushes = []
+        push = RandomScheduler.push
+
+        def recording(self, seq, dests, msg):
+            pushes.append((seq, dests, msg))
+            push(self, seq, dests, msg)
+
+        monkeypatch.setattr(RandomScheduler, "push", recording)
+        run_simulation(config)
+        (faulty,) = config.fault_set
+        return [p for p in pushes if p[2].sender == faulty]
+
+    def test_split(self, monkeypatch):
+        pushes = self._faulty_pushes(monkeypatch, _golden_config("split-random"))
+        assert len(pushes) > 6 * 10
+        for i in range(0, len(pushes), 6):
+            broadcast = pushes[i : i + 6]
+            assert [dests for _, dests, _ in broadcast] == [(0,), (1,), (2,), (3, 4), (5,), (6,)]
+            assert [msg.value for _, _, msg in broadcast] == [-1.0, 2.0, 0.5, -1.0, 2.0, 0.5]
+            assert len({msg.tag for _, _, msg in broadcast}) == 1
+            assert [seq for seq, _, _ in broadcast] == [broadcast[0][0] + k for k in (0, 1, 2, 3, 5, 6)]
+
+    @pytest.mark.parametrize("kind, runs", [("identical-wrong", [(0, 1, 2, 3, 4)]), ("random", [(k,) for k in range(5)])])
+    def test_identical_wrong_and_random(self, monkeypatch, kind, runs):
+        params = {"value": 3.0} if kind == "identical-wrong" else {}
+        pushes = self._faulty_pushes(monkeypatch, k6_config(fault=frozenset({5}), behavior=ByzantineSpec(kind, params)))
+        assert len(pushes) > 10 * len(runs)
+        assert [dests for _, dests, _ in pushes] == runs * (len(pushes) // len(runs))
+
+
 class TestBroadcastPush:
     """A fault-free node's broadcast is one push(seq, dests, msg) and a
-    faulty node's one push per destination.  To every pool the two are the
-    same: the same pops, in the same order, or the same deadlock, under a
-    stream of broadcasts (to the sender's out-neighbours, the adaptive
-    pool's planned case, or to a shuffled subset of them), round rises and
-    pops."""
+    faulty node's one push per run of its behaviour.  To every pool one
+    push and one push per destination are the same: the same pops, in the
+    same order, or the same deadlock, under a stream of broadcasts (to the
+    sender's out-neighbours, the adaptive pool's planned case, or to a
+    shuffled subset of them), round rises and pops."""
 
     @staticmethod
     def _pops(kind: str, per_destination: bool) -> list:
