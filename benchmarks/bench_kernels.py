@@ -16,9 +16,13 @@ The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
 graphs (f=1, one `random` Byzantine node, fixed round counts), `fifo` on
 K16 with four `split` or four `random` Byzantine nodes (f=4), and the
-adaptive-delay attack on K5 (f=1), K10 (f=2) and a two-cluster graph (two
-complete 5-node clusters with at most 2f cross in-edges per node, f=1, 200
-rounds), the graph class of the median perfbench `attack` op.
+adaptive-delay attack on K5 (f=1), K10 (f=2), K16 (f=4, halves with no
+faulty node) and a two-cluster graph (two complete 5-node clusters with
+at most 2f cross in-edges per node, f=1, 200 rounds), the graph class of
+the median perfbench `attack` op.  Each row also reports the bytes per
+delivery that a run's trace keeps, as tracemalloc counts them in one
+untimed run: memory traced with the returned Trace alive, less memory
+traced before the run.  Nearly all of it is the delivery log.
 
 The protocol rows time one `NodeState.apply_update` call (the trim-and-
 average update and the move to the next round) on complete graphs, f=1,
@@ -48,6 +52,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 
 from byztrim import _kernels, simnet
 from byztrim.protocol import NodeState, RoundMessage
@@ -145,6 +150,7 @@ def simulator_configs():
     for name, g, f, rounds in (
         ("K5", generate_graph("counterexample-k5"), 1, 400),
         ("K10", generate_graph("complete", {"n": 10}), 2, 150),
+        ("K16", generate_graph("complete", {"n": 16}), 4, 50),
         ("two-cluster 5+5", two_cluster_graph(random.Random(5), 1, 5), 1, 200),
     ):
         witness = check_partition_condition(g, f, ASYNC).witness
@@ -183,6 +189,18 @@ def simulator_rate(config, repeat: int) -> tuple[int, float]:
             simnet.run_simulation(config)
         best = min(best, time.perf_counter() - start)
     return count, count * runs / best
+
+
+def retained_bytes(config) -> float:
+    """Bytes per delivery that a run's Trace keeps (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = simnet.run_simulation(config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(trace.deliveries)
 
 
 def update_cost(n: int, repeat: int, calls: int = 5_000) -> float:
@@ -224,7 +242,7 @@ def simulator_rows(repeat: int) -> list[dict]:
     rows = []
     for name, config in simulator_configs():
         count, rate = simulator_rate(config, repeat)
-        rows.append({"name": name, "deliveries": count, "per_s": rate})
+        rows.append({"name": name, "deliveries": count, "per_s": rate, "trace_bytes": retained_bytes(config)})
     return rows
 
 
@@ -302,7 +320,10 @@ SECTIONS = {
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
     ),
     "protocol": ("protocol update", [("in-degree", "in_degree", 10, "d"), ("us/call", "us_per_call", 10, ".2f")]),
-    "simulator": ("simulator run", [("deliveries", "deliveries", 10, "d"), ("per s", "per_s", 10, ".0f")]),
+    "simulator": (
+        "simulator run",
+        [("deliveries", "deliveries", 10, "d"), ("per s", "per_s", 10, ".0f"), ("B/delivery", "trace_bytes", 10, ".1f")],
+    ),
     "csv": ("trace CSV I/O", [("bytes", "bytes", 10, "d"), ("ms/call", "ms_per_call", 10, ".3f")]),
 }
 

@@ -34,8 +34,9 @@ class RoundMessage(_MessageFields):
 
     The constructor checks its fields: `sender` and `tag` are integers (not
     booleans), `tag` >= 0, and `value` is a finite real, stored as a float;
-    anything else raises ProtocolError.  Messages built from state that is
-    checked already skip the check through
+    anything else raises ProtocolError.  `_make` and `_replace` (which
+    builds through `_make`) check them too.  Messages built from state that
+    is checked already skip the check through
     `tuple.__new__(RoundMessage, (sender, tag, value))`, as the simulator
     does, and hot paths unpack a message instead of loading its fields by
     name."""
@@ -52,6 +53,10 @@ class RoundMessage(_MessageFields):
         except ValueError as e:
             raise ProtocolError(str(e)) from None
         return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable) -> "RoundMessage":
+        return cls(*iterable)
 
 
 class NodeState:

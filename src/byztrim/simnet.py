@@ -160,17 +160,6 @@ _SPEC_FIELDS = frozenset(("kind", "params"))
 _SIDES = {"left": NODES, "center": NODES, "right": NODES}
 
 
-class PendingMessage(NamedTuple):
-    """The layout of an in-flight message; the unique sequence number is its
-    send order (and, being the first field, orders messages on its own).
-    Pools build plain tuples of this layout from `push(seq, dests, msg)`
-    and pop them back; a PendingMessage compares equal to its plain tuple."""
-
-    sequence: int
-    destination: int
-    message: RoundMessage
-
-
 class Delivery(NamedTuple):
     virtual_time: int
     sender: int
@@ -184,35 +173,35 @@ class Delivery(NamedTuple):
 _new = tuple.__new__
 
 
-def _delivery(vt: int, pm: PendingMessage) -> Delivery:
-    _, dest, (sender, tag, value) = pm
-    return _new(Delivery, (vt, sender, dest, tag, value))
-
-
 class DeliveryLog(Sequence):
-    """A run's deliveries, read-only: the messages in the order the
-    scheduler popped them, kept as popped.  Delivery k (virtual time k + 1)
-    is built from the k-th popped (sequence, destination, message) only
+    """A run's deliveries, read-only, kept as two columns in pop order: the
+    receivers and the messages, each message the RoundMessage object its
+    sender pushed (shared by every destination that got it).  Delivery k
+    (virtual time k + 1) is built from the k-th receiver and message only
     when it is read, so `len` builds nothing.  Indexes (negative ones and
     slices too), iteration, `==` against a list or another log, and `repr`
     give what a list of Delivery records gives."""
 
-    __slots__ = ("_popped",)
+    __slots__ = ("_receivers", "_messages")
 
-    def __init__(self, popped: list[PendingMessage]):
-        self._popped = popped
+    def __init__(self, receivers: list[int], messages: list[RoundMessage]):
+        self._receivers = receivers
+        self._messages = messages
 
     def __len__(self) -> int:
-        return len(self._popped)
+        return len(self._receivers)
+
+    def _record(self, k: int) -> Delivery:
+        sender, tag, value = self._messages[k]
+        return _new(Delivery, (k + 1, sender, self._receivers[k], tag, value))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_delivery(k + 1, self._popped[k]) for k in range(*index.indices(len(self._popped)))]
-        k = range(len(self._popped))[index]  # a negative or out-of-range index as a list reads it
-        return _delivery(k + 1, self._popped[k])
+            return [self._record(k) for k in range(*index.indices(len(self._receivers)))]
+        return self._record(range(len(self._receivers))[index])  # a negative or out-of-range index as a list reads it
 
     def __iter__(self):
-        for vt, (_, dest, (sender, tag, value)) in enumerate(self._popped, 1):
+        for vt, (dest, (sender, tag, value)) in enumerate(zip(self._receivers, self._messages), 1):
             yield _new(Delivery, (vt, sender, dest, tag, value))
 
     def __eq__(self, other) -> bool:
@@ -345,10 +334,16 @@ def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, 
 
 # ---------------------------------------------------------------------------
 # Schedulers
+#
+# Every message pool takes `push(seq, dests, msg)`, one message sent to
+# each of `dests` at sequence numbers seq, seq + 1, ..., and `pop()`, the
+# next delivery as (destination, message).  A pool that is not round-blind
+# also hears each rise of a node's round through `advanced(node, round)`.
 
 
 class _RoundBlind:
-    """A pool whose delivery order does not depend on the nodes' rounds."""
+    """A pool whose delivery order does not depend on the nodes' rounds;
+    run_simulation does not call its `advanced` hook."""
 
     def advanced(self, node: int, round_: int) -> None:
         """Node `node` moved to round `round_`: nothing to do."""
@@ -357,45 +352,50 @@ class _RoundBlind:
 class RandomScheduler(_RoundBlind):
     """Uniform out-of-order delivery among all pending messages.
 
-    The pool is a list in push order; a pop draws one index uniformly and
-    removes it with list.pop, O(pending) memmove but no Python-level scan.
-    The draw is Random.randrange(len) written out: getrandbits(k) for the
-    bit length k of the bound, redrawn until below it, which yields the
-    same indices from the same generator state."""
+    The pool is two parallel lists in push order, the destinations and the
+    messages, and keeps no sequence numbers (push order is all a draw
+    needs).  A pop draws one index uniformly and removes it from both with
+    list.pop, O(pending) memmove but no Python-level scan.  The draw is
+    Random.randrange(len) written out: getrandbits(k) for the bit length k
+    of the bound, redrawn until below it, which yields the same indices
+    from the same generator state."""
 
     def __init__(self, seed: int):
         self.getrandbits = random.Random(seed).getrandbits
-        self.pool: list[PendingMessage] = []
+        self.dests: list[int] = []
+        self.msgs: list[RoundMessage] = []
 
     def __len__(self) -> int:
-        return len(self.pool)
+        return len(self.dests)
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        self.pool.extend(zip(range(seq, seq + len(dests)), dests, repeat(msg)))
+        self.dests.extend(dests)
+        self.msgs.extend(repeat(msg, len(dests)))
 
-    def pop(self) -> PendingMessage:
-        pool, getrandbits = self.pool, self.getrandbits
-        n = len(pool)
+    def pop(self) -> tuple[int, RoundMessage]:
+        dests, getrandbits = self.dests, self.getrandbits
+        n = len(dests)
         if not n:
             raise IndexError("pop from an empty message pool")
         k = n.bit_length()
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        return pool.pop(i)
+        return dests.pop(i), self.msgs.pop(i)
 
 
 class FifoScheduler(_RoundBlind):
     """Random delivery, but per-link in order (lowest sequence per link first).
 
-    Each link keeps a deque in sequence order; `heads` lists the non-empty
-    links' head sequences in ascending order, and a pop draws one of them
-    uniformly (the same written-out randrange as RandomScheduler).
-    O(log links) search plus an O(links) list insert per pop."""
+    Each link (sender, destination) keeps a deque of (sequence, message) in
+    sequence order; `heads` lists the non-empty links' head sequences in
+    ascending order, and a pop draws one of them uniformly (the same
+    written-out randrange as RandomScheduler).  O(log links) search plus an
+    O(links) list insert per pop."""
 
     def __init__(self, seed: int):
         self.getrandbits = random.Random(seed).getrandbits
-        self.links: defaultdict[tuple[int, int], deque[PendingMessage]] = defaultdict(deque)
+        self.links: defaultdict[tuple[int, int], deque[tuple[int, RoundMessage]]] = defaultdict(deque)
         self.heads: list[tuple[int, tuple[int, int]]] = []
 
     def __len__(self) -> int:
@@ -409,9 +409,9 @@ class FifoScheduler(_RoundBlind):
             queue = links[link]
             if not queue:
                 bisect.insort(self.heads, (i, link))
-            queue.append((i, dest, msg))
+            queue.append((i, msg))
 
-    def pop(self) -> PendingMessage:
+    def pop(self) -> tuple[int, RoundMessage]:
         heads, getrandbits = self.heads, self.getrandbits
         n = len(heads)
         if not n:
@@ -422,20 +422,20 @@ class FifoScheduler(_RoundBlind):
             i = getrandbits(k)
         link = heads.pop(i)[1]
         queue = self.links[link]
-        pm = queue.popleft()
+        _, msg = queue.popleft()
         if queue:
             bisect.insort(heads, (queue[0][0], link))
-        return pm
+        return link[1], msg
 
 
 class SynchronousScheduler(_RoundBlind):
     """Deliver all messages of a round tag before any later tag (plumbing for
     lockstep sanity runs; pair with SimConfig scheduler kind "synchronous",
-    which also makes nodes wait for every in-edge).  A heap keyed by
-    (tag, sequence): O(log pending) per pop."""
+    which also makes nodes wait for every in-edge).  A heap of (tag,
+    sequence, destination, message): O(log pending) per pop."""
 
     def __init__(self):
-        self.heap: list[tuple[int, int, PendingMessage]] = []
+        self.heap: list[tuple[int, int, int, RoundMessage]] = []
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -444,10 +444,11 @@ class SynchronousScheduler(_RoundBlind):
         heap = self.heap
         _, tag, _ = msg
         for i, dest in enumerate(dests, seq):
-            heappush(heap, (tag, i, (i, dest, msg)))
+            heappush(heap, (tag, i, dest, msg))
 
-    def pop(self) -> PendingMessage:
-        return heappop(self.heap)[2]
+    def pop(self) -> tuple[int, RoundMessage]:
+        _, _, dest, msg = heappop(self.heap)
+        return dest, msg
 
 
 class AdaptiveDelayScheduler:
@@ -458,20 +459,22 @@ class AdaptiveDelayScheduler:
     delays stay finite.
 
     Delivery is the lowest sequence among the messages not withheld.
-    Messages never withheld arrive in sequence order, so they queue in a
-    deque; messages from a receiver's withheld senders sit in that
-    receiver's heap keyed by (tag, sequence) until the receiver's round
-    exceeds tag + 1, and then in the released heap, which orders messages
-    by their first field, the unique sequence.  Releases are eager:
-    `advanced` moves a receiver's releasable messages when its round rises,
-    and `push` sends a message that is releasable already straight to the
-    released heap.  A pop takes the lower of the two heads: O(1) from the
-    queue or O(log released) from the heap.
+    Messages never withheld arrive in sequence order, so they queue in
+    three parallel deques: sequences, destinations and messages.  Messages
+    from a receiver's withheld senders sit in that receiver's heap as
+    (tag, sequence, (sequence, destination, message)) until the receiver's
+    round exceeds tag + 1, and then in the released heap, which orders
+    messages by their first field, the unique sequence.  Releases are
+    eager: `advanced` moves a receiver's releasable messages when its round
+    rises, and `push` sends a message that is releasable already straight
+    to the released heap.  A pop takes the lower of the two heads: O(1)
+    from the queue or O(log released) from the heap.
 
-    Each sender some receiver withholds has a plan for a broadcast to its
-    sorted out-neighbours: the positions and receivers that never withhold
-    it, queued with one `extend`, and the (position, receiver) pairs that
-    do.  Other senders' pushes are one `extend`."""
+    Each sender some receiver withholds has a plan per destination tuple it
+    pushes to (built on its first push there): the positions and receivers
+    that never withhold it, queued with one `extend` per deque, and the
+    (position, receiver) pairs that do.  Other senders' pushes are one
+    `extend` per deque."""
 
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
@@ -482,41 +485,47 @@ class AdaptiveDelayScheduler:
         for v in sorted(right):
             cross = sorted(g.in_nbrs[v] & (left | center))
             self.withheld[v] = frozenset(cross[: min(f, len(cross))])
-        self.held: dict[int, list[tuple[int, int, PendingMessage]]] = {
+        self.held: dict[int, list[tuple[int, int, tuple[int, int, RoundMessage]]]] = {
             v: [] for v, senders in self.withheld.items() if senders
         }
         # The rounds of the receivers that withhold; nodes start in round 1.
         self.round_of = dict.fromkeys(self.held, 1)
-        self.plans: dict[int, tuple] = {}
-        for sender in g.nodes:
-            plan = self._plan(sender, tuple(sorted(g.out_nbrs[sender])))
-            if plan[3]:
-                self.plans[sender] = plan
-        self.queue: deque[PendingMessage] = deque()
-        self.released: list[PendingMessage] = []
+        # sender -> {destination tuple: its plan}, for every withheld sender
+        self.plans: dict[int, dict[tuple[int, ...], tuple]] = {
+            sender: {} for v in self.held for sender in self.withheld[v]
+        }
+        self.seqs: deque[int] = deque()
+        self.dests: deque[int] = deque()
+        self.msgs: deque[RoundMessage] = deque()
+        self.released: list[tuple[int, int, RoundMessage]] = []
 
     def _plan(self, sender: int, dests: tuple[int, ...]) -> tuple:
-        """(dests, the positions in dests and the receivers that never
-        withhold `sender`, the (position, receiver) pairs that do)."""
+        """(the positions in dests of the receivers that never withhold
+        `sender`, those receivers, the (position, receiver) pairs that do)."""
         held, withheld = self.held, self.withheld
         shut = [dest in held and sender in withheld[dest] for dest in dests]
         opened = tuple(i for i, s in enumerate(shut) if not s)
         closed = tuple((i, dest) for i, dest in enumerate(dests) if shut[i])
-        return dests, opened, tuple(dests[i] for i in opened), closed
+        return opened, tuple(dests[i] for i in opened), closed
 
     def __len__(self) -> int:
-        return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
+        return len(self.seqs) + len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
         sender, tag, _ = msg
-        plan = self.plans.get(sender)
-        if plan is None:
-            self.queue.extend(zip(range(seq, seq + len(dests)), dests, repeat(msg)))
+        runs = self.plans.get(sender)
+        if runs is None:
+            self.seqs.extend(range(seq, seq + len(dests)))
+            self.dests.extend(dests)
+            self.msgs.extend(repeat(msg, len(dests)))
             return
-        if plan[0] != dests:
-            plan = self._plan(sender, dests)
-        _, opened, receivers, closed = plan
-        self.queue.extend(zip(map(seq.__add__, opened), receivers, repeat(msg)))
+        plan = runs.get(dests)
+        if plan is None:
+            plan = runs[dests] = self._plan(sender, dests)
+        opened, receivers, closed = plan
+        self.seqs.extend(map(seq.__add__, opened))
+        self.dests.extend(receivers)
+        self.msgs.extend(repeat(msg, len(receivers)))
         for i, dest in closed:
             pm = (seq + i, dest, msg)
             # Held while the receiver could still use the tag (round <= tag+1).
@@ -535,12 +544,14 @@ class AdaptiveDelayScheduler:
         while heap and round_ > heap[0][0] + 1:
             heappush(self.released, heappop(heap)[2])
 
-    def pop(self) -> PendingMessage:
-        queue, released = self.queue, self.released
-        if released and (not queue or released[0][0] < queue[0][0]):
-            return heappop(released)
-        if queue:
-            return queue.popleft()
+    def pop(self) -> tuple[int, RoundMessage]:
+        seqs, released = self.seqs, self.released
+        if released and (not seqs or released[0][0] < seqs[0]):
+            _, dest, msg = heappop(released)
+            return dest, msg
+        if seqs:
+            seqs.popleft()
+            return self.dests.popleft(), self.msgs.popleft()
         raise SimulationError("scheduler deadlock: every pending message is withheld")
 
 
@@ -581,8 +592,9 @@ def run_simulation(config: SimConfig) -> Trace:
     A fault-free node's round broadcast is one scheduler push; a faulty
     node's is one push per run of its behaviour, in out-neighbour order.
     Each rise of a node's round reaches the scheduler through its
-    `advanced` hook.  The delivery log keeps each popped message as the
-    pool returned it (see DeliveryLog)."""
+    `advanced` hook, unless the pool is round-blind.  The pool pops
+    (destination, message) pairs, and the delivery log keeps them as two
+    columns (see DeliveryLog)."""
     scheduler_params, byzantine_params = config.validate()
     g, f = config.graph, config.f
     faulty = config.fault_set
@@ -593,23 +605,13 @@ def run_simulation(config: SimConfig) -> Trace:
         v: init_node(v, config.inputs[v], g, f, require_all=require_all) for v in g.nodes
     }
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
-    popped: list[PendingMessage] = []
+    receivers: list[int] = []
+    messages: list[RoundMessage] = []
     scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
-    push, pop, advanced = scheduler.push, scheduler.pop, scheduler.advanced
+    push, pop = scheduler.push, scheduler.pop
+    advanced = None if isinstance(scheduler, _RoundBlind) else scheduler.advanced
     behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
-    seq = 0  # messages sent; seq - vt of them are pending
-    vt = 0
-
-    def emit(v: int) -> None:
-        nonlocal seq
-        st = states[v]
-        if v in faulty:
-            for dests, msg in behavior(v, st.round - 1, st.out_nbrs):
-                push(seq, dests, msg)
-                seq += len(dests)
-        else:
-            push(seq, st.out_nbrs, st.outgoing_message())
-            seq += len(st.out_nbrs)
+    seq = 0  # messages sent; seq - len(receivers) of them are pending
 
     u_levels = [max(values[v][0] for v in fault_free)]
     mu_levels = [min(values[v][0] for v in fault_free)]
@@ -622,22 +624,10 @@ def run_simulation(config: SimConfig) -> Trace:
     # completed[t] reaches len(fault_free).
     completed = [len(fault_free)]
 
-    def complete_round(t: int) -> None:
-        nonlocal outcome, converged_round
-        if t == len(completed):
-            completed.append(1)
-        else:
-            completed[t] += 1
-        if completed[t] == len(fault_free):
-            u_levels.append(max(values[v][t] for v in fault_free))
-            mu_levels.append(min(values[v][t] for v in fault_free))
-            if u_levels[t] - mu_levels[t] <= epsilon:
-                outcome, converged_round = "converged", t
-            elif t >= max_rounds:
-                outcome = "max-rounds-hit"
-
     def process_ready(v: int) -> None:
-        """Update v, which is ready, and again while it stays ready."""
+        """Update v, which is ready, and send its next round's messages;
+        again while it stays ready."""
+        nonlocal seq, outcome, converged_round
         st = states[v]
         while outcome is None and st.round <= max_rounds:
             if v in faulty:
@@ -648,29 +638,50 @@ def run_simulation(config: SimConfig) -> Trace:
                 st.buffer.pop(st.round - 2, None)
             else:
                 values[v].append(st.apply_update())
-                complete_round(st.round - 1)
-            advanced(v, st.round)
+                t = st.round - 1
+                if t == len(completed):
+                    completed.append(1)
+                else:
+                    completed[t] += 1
+                if completed[t] == len(fault_free):
+                    u_levels.append(max(values[w][t] for w in fault_free))
+                    mu_levels.append(min(values[w][t] for w in fault_free))
+                    if u_levels[t] - mu_levels[t] <= epsilon:
+                        outcome, converged_round = "converged", t
+                    elif t >= max_rounds:
+                        outcome = "max-rounds-hit"
+            if advanced is not None:
+                advanced(v, st.round)
             if outcome is not None or st.round > max_rounds:
                 return
-            emit(v)
+            if v in faulty:
+                for dests, msg in behavior(v, st.round - 1, st.out_nbrs):
+                    push(seq, dests, msg)
+                    seq += len(dests)
+            else:
+                push(seq, st.out_nbrs, st.outgoing_message())
+                seq += len(st.out_nbrs)
             if not st.round_ready():
                 return
 
     if outcome is None:
         for v in sorted(g.nodes):
-            emit(v)
+            st = states[v]
+            runs = behavior(v, 0, st.out_nbrs) if v in faulty else [(st.out_nbrs, st.outgoing_message())]
+            for dests, msg in runs:
+                push(seq, dests, msg)
+                seq += len(dests)
         for v in sorted(g.nodes):
             if states[v].round_ready():
                 process_ready(v)
 
-    record = popped.append
+    record_receiver, record_message = receivers.append, messages.append
     while outcome is None:
-        if vt == seq:
+        if len(receivers) == seq:
             raise SimulationError("no pending messages but the run is not finished")
-        pm = pop()
-        record(pm)
-        vt += 1
-        _, dest, msg = pm
+        dest, msg = pop()
+        record_receiver(dest)
+        record_message(msg)
         _, tag, _ = msg
         st = states[dest]
         if st.ingest_message(msg) and tag == st.round - 1 and len(st.buffer[tag]) == st.expected_count:
@@ -681,7 +692,7 @@ def run_simulation(config: SimConfig) -> Trace:
         values=values,
         u_levels=u_levels,
         mu_levels=mu_levels,
-        deliveries=DeliveryLog(popped),
+        deliveries=DeliveryLog(receivers, messages),
         outcome=outcome,
         converged_round=converged_round,
     )

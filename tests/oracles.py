@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -22,7 +23,7 @@ from byztrim._kernels import BUDGET_EXCEEDED, FAIL, PASS, _bits, _fault_masks
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
 from byztrim.protocol import ProtocolError, RoundMessage
-from byztrim.simnet import Delivery, PendingMessage, SimConfig, SimulationError, Trace
+from byztrim.simnet import Delivery, SimConfig, SimulationError, Trace
 
 
 def naive_reaches(g: Digraph, a: set[int], b: set[int], r: int) -> bool:
@@ -289,6 +290,15 @@ def naive_failing_reduction(g: Digraph, f: int, min_source_size: int, budget: in
 # ---------------------------------------------------------------------------
 # Naive scheduler selectors: a scan of the whole pending list per delivery.
 # Each returns the index into `pending` of the message to deliver next.
+
+
+class PendingMessage(NamedTuple):
+    """An in-flight message of the naive event loop and selectors; the
+    unique sequence number is its send order."""
+
+    sequence: int
+    destination: int
+    message: RoundMessage
 
 
 class NaiveRandomSelector:

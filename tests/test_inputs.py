@@ -59,6 +59,8 @@ INTEGER_SLOTS = {
     "Partition node list": lambda x: Partition.from_json_dict({"L": [x], "R": [1]}, 6),
     "RoundMessage sender": lambda x: RoundMessage(x, 0, 0.5),
     "RoundMessage tag": lambda x: RoundMessage(1, x, 0.5),
+    "RoundMessage._make sender": lambda x: RoundMessage._make((x, 0, 0.5)),
+    "RoundMessage._replace tag": lambda x: RoundMessage(1, 0, 0.5)._replace(tag=x),
 }
 REAL_SLOTS = {
     "SimConfig input": lambda x: config(inputs=(x,) + (0.0,) * 5),
@@ -66,6 +68,8 @@ REAL_SLOTS = {
     "byzantine param": lambda x: config(byzantine=ByzantineSpec("identical-wrong", {"value": x})),
     "generate_graph p": lambda x: generate_graph("random-uniform", {"n": 4, "p": x}),
     "RoundMessage value": lambda x: RoundMessage(1, 0, x),
+    "RoundMessage._make value": lambda x: RoundMessage._make((1, 0, x)),
+    "RoundMessage._replace value": lambda x: RoundMessage(1, 0, 0.5)._replace(value=x),
 }
 NAN, INF = float("nan"), float("inf")
 BAD_INTEGERS = (True, 1.5, 6.0, "1", NAN, INF)
@@ -106,7 +110,7 @@ ROWS = (
     # Counts: f is at least 0 and max_rounds at least 1.
     + [(f"{name}=-1", INTEGER_SLOTS[name], -1, "non-negative|>= 0") for name in INTEGER_SLOTS if name.endswith(" f")]
     + [("SimConfig max_rounds=0", INTEGER_SLOTS["SimConfig max_rounds"], 0, ">= 1")]
-    + [("RoundMessage tag=-1", INTEGER_SLOTS["RoundMessage tag"], -1, ">= 0")]
+    + [(f"{name}=-1", INTEGER_SLOTS[name], -1, ">= 0") for name in ("RoundMessage tag", "RoundMessage._replace tag")]
     # float() reading a leading '+' in a value cell is not lax: it is how a
     # number may be written, so the value column takes the other bad texts.
     + [

@@ -106,6 +106,33 @@ class TestRoundMessage:
         with pytest.raises(ProtocolError, match=message):
             RoundMessage(*fields)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: RoundMessage(1, 0, 0.5)._replace(tag=True), "message tag must be an integer, got True",
+                id="_replace tag=True",
+            ),
+            pytest.param(
+                lambda: RoundMessage._make((1, -3, float("nan"))), "message tag must be >= 0, got -3", id="_make tag=-3"
+            ),
+            pytest.param(
+                lambda: RoundMessage._make((1, 0, float("nan"))), "message value must be a finite number, got nan",
+                id="_make value=nan",
+            ),
+        ],
+    )
+    def test_make_and_replace_reject(self, build, message):
+        with pytest.raises(ProtocolError, match=message):
+            build()
+
+    def test_make_and_replace(self):
+        msg = RoundMessage._make([3, 1, 2])
+        assert type(msg) is RoundMessage and msg == (3, 1, 2.0) and type(msg.value) is float
+        assert msg._replace(value=5) == RoundMessage(3, 1, 5.0)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            msg._replace(round=2)
+
     def test_named_tuple(self):
         msg = RoundMessage(3, 1, 2)
         assert msg == (3, 1, 2.0) and type(msg.value) is float

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import stat
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from byztrim.simnet import (
     Delivery,
     DeliveryLog,
     FifoScheduler,
-    PendingMessage,
     RandomScheduler,
     SchedulerSpec,
     SimConfig,
@@ -696,8 +696,8 @@ class TestGoldenDeliveryLog:
 
 
 class TestDeliveryLog:
-    """trace.deliveries keeps the popped (sequence, destination, message)
-    tuples and reads as the list of Delivery records they stand for."""
+    """trace.deliveries keeps the popped destinations and messages as two
+    columns and reads as the list of Delivery records they stand for."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -705,8 +705,8 @@ class TestDeliveryLog:
 
     def test_len_builds_no_record(self):
         # Entries that no record can be built from: len must not read them.
-        assert len(DeliveryLog([None] * 3)) == 3
-        assert len(DeliveryLog([])) == 0
+        assert len(DeliveryLog([None] * 3, [None] * 3)) == 3
+        assert len(DeliveryLog([], [])) == 0
 
     def test_records(self, trace):
         log = trace.deliveries
@@ -714,8 +714,8 @@ class TestDeliveryLog:
         records = list(log)
         assert all(type(d) is Delivery for d in records)
         assert [d.virtual_time for d in records] == list(range(1, len(log) + 1))
-        _, dest, msg = log._popped[0]
-        assert records[0] == Delivery(1, msg.sender, dest, msg.tag, msg.value)
+        for d, dest, msg in zip(records, log._receivers, log._messages, strict=True):
+            assert d == Delivery(d.virtual_time, msg.sender, dest, msg.tag, msg.value)
 
     def test_indexes_and_slices(self, trace):
         log = trace.deliveries
@@ -729,16 +729,32 @@ class TestDeliveryLog:
             assert log[cut] == records[cut]
             assert all(type(d) is Delivery for d in log[cut])
 
+    def test_retained_bytes_per_delivery(self):
+        # A K10 f=2 attack: what the returned trace keeps, nearly all of it
+        # the log, is two list slots per delivery plus each message's share
+        # (one message per broadcast or `split` run).
+        k10 = complete(10)
+        config = build_attack_config(k10, 2, check_partition_condition(k10, 2, "async").witness, 0.0, 1.0, max_rounds=60)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_simulation(config)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.deliveries) > 5_000
+        assert retained / len(trace.deliveries) <= 48
+
     def test_equality_and_repr(self, trace):
         log = trace.deliveries
         records = list(log)
         assert log == records and records == log
         assert log == run_simulation(trace.config).deliveries
         assert log != records[:-1] and log != records[:-1] + [records[0]]
-        assert DeliveryLog([]) == [] and not DeliveryLog([]) != []
+        assert DeliveryLog([], []) == [] and not DeliveryLog([], []) != []
         assert log != tuple(records)
         assert repr(log) == repr(records)
-        assert repr(DeliveryLog([])) == "[]"
+        assert repr(DeliveryLog([], [])) == "[]"
 
 
 class TestInlinedDraw:
@@ -747,9 +763,10 @@ class TestInlinedDraw:
     every n, powers of two and their neighbours included."""
 
     @staticmethod
-    def _messages(count: int) -> list[PendingMessage]:
-        # One message per link, so every message is a fifo link head.
-        return [PendingMessage(i, count + i, RoundMessage(i, 0, float(i))) for i in range(count)]
+    def _messages(count: int) -> list[tuple[int, RoundMessage]]:
+        # One message per link, so every message is a fifo link head; the
+        # i-th push is (destination count + i, message i).
+        return [(count + i, RoundMessage(i, 0, float(i))) for i in range(count)]
 
     @pytest.mark.parametrize("kind", ["random", "fifo"])
     def test_pops_follow_randrange(self, kind):
@@ -757,8 +774,8 @@ class TestInlinedDraw:
             count = 300 if seed < 100 else 4100  # every n up to 300; then 4096 and 4097
             pool = RandomScheduler(seed) if kind == "random" else FifoScheduler(seed)
             expected = self._messages(count)
-            for pm in expected:
-                pool.push(pm.sequence, (pm.destination,), pm.message)
+            for i, (dest, msg) in enumerate(expected):
+                pool.push(i, (dest,), msg)
             ref = random.Random(seed)
             while len(expected) > (0 if count == 300 else 4090):
                 assert pool.pop() == expected.pop(ref.randrange(len(expected)))
@@ -806,6 +823,39 @@ class TestFaultyRuns:
         pushes = self._faulty_pushes(monkeypatch, k6_config(fault=frozenset({5}), behavior=ByzantineSpec(kind, params)))
         assert len(pushes) > 10 * len(runs)
         assert [dests for _, dests, _ in pushes] == runs * (len(pushes) // len(runs))
+
+
+class TestAdaptivePlans:
+    """The adaptive-delay pool plans a withheld sender's push once per
+    destination tuple, however many rounds the sender sends to it."""
+
+    def test_one_plan_per_run(self, monkeypatch):
+        # Left nodes 0-2 withhold faulty node 3, right nodes 3-6 withhold
+        # node 0; node 3 splits its out-neighbours into the runs (0) low,
+        # (1) high, (2) low, (4) high, (5, 6) mid.
+        config = SimConfig(
+            graph=complete(7), f=1, fault_set=frozenset({3}), inputs=(0.0, 0.1, 0.2, 0.6, 0.7, 0.8, 0.9),
+            scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 1, 2], "right": [3, 4, 5, 6]}),
+            byzantine=ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [0, 2], "right": [1, 4]}),
+            max_rounds=27,
+        )
+        plans, pushes = [], set()
+        plan, push = AdaptiveDelayScheduler._plan, AdaptiveDelayScheduler.push
+
+        def counting_plan(self, sender, dests):
+            plans.append((sender, dests))
+            return plan(self, sender, dests)
+
+        def recording_push(self, seq, dests, msg):
+            pushes.add((msg.sender, dests))
+            push(self, seq, dests, msg)
+
+        monkeypatch.setattr(AdaptiveDelayScheduler, "_plan", counting_plan)
+        monkeypatch.setattr(AdaptiveDelayScheduler, "push", recording_push)
+        trace = run_simulation(config)
+        assert trace.outcome == "max-rounds-hit" and trace.common_rounds == 27
+        assert sorted(plans) == sorted(p for p in pushes if p[0] in (0, 3))
+        assert len(plans) == 6
 
 
 class TestBroadcastPush:
@@ -966,7 +1016,11 @@ class TestSchedulerPools:
     """Each message pool against its naive twin in oracles.py (the old
     select-an-index-of-the-pending-list schedulers), driven by the same
     interleaved push/pop stream with rising rounds.  Every rise reaches the
-    pool through `advanced`, as run_simulation reports it."""
+    pool through `advanced`, as run_simulation reports it.  A pool pops
+    (destination, message); in this stream that pair names one pending
+    message, since each push sends a message of its own (its value is the
+    push's first sequence number) to distinct destinations, so comparing
+    pairs compares the messages' sequence numbers too."""
 
     @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
     @settings(max_examples=100, deadline=None)
@@ -984,7 +1038,7 @@ class TestSchedulerPools:
             side = {s: [v for v in range(n) if sides[v] == s] for s in "LCR"}
             pool = AdaptiveDelayScheduler(g, f, side["L"], side["C"], side["R"])
             naive = oracles.NaiveAdaptiveDelaySelector(pool.withheld)
-        pending: list[PendingMessage] = []
+        pending: list[oracles.PendingMessage] = []
         rounds = {v: 1 for v in range(n)}
         seq = 0
         for op in ops:
@@ -997,7 +1051,7 @@ class TestSchedulerPools:
                 msg = RoundMessage(sender, op[2], float(seq))
                 pool.push(seq, dests, msg)
                 for dest in dests:
-                    pending.append(PendingMessage(seq, dest, msg))
+                    pending.append(oracles.PendingMessage(seq, dest, msg))
                     seq += 1
             elif op[0] == "rise":
                 rounds[op[1]] += op[2]
@@ -1011,5 +1065,5 @@ class TestSchedulerPools:
                         pool.pop()
                     assert str(exc).startswith("scheduler deadlock")
                 else:
-                    assert pool.pop() == expected
+                    assert pool.pop() == (expected.destination, expected.message)
             assert len(pool) == len(pending)
