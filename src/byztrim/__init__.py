@@ -27,13 +27,7 @@ from byztrim.simnet import (
     run_simulation,
     trace_metrics,
 )
-from byztrim.harness import (
-    ExperimentSpec,
-    all_digraphs,
-    generate_graph,
-    run_experiment,
-    verify_contraction,
-)
+from byztrim.harness import all_digraphs, generate_graph, verify_contraction
 
 __version__ = "0.1.0"
 
@@ -42,7 +36,6 @@ __all__ = [
     "ByzantineSpec",
     "DegreeViolation",
     "Digraph",
-    "ExperimentSpec",
     "GraphError",
     "NodeState",
     "Partition",
@@ -67,7 +60,6 @@ __all__ = [
     "propagates",
     "quick_degree_checks",
     "reaches",
-    "run_experiment",
     "run_simulation",
     "trace_metrics",
     "verify_contraction",

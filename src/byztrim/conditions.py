@@ -35,6 +35,7 @@ from typing import Iterable
 from byztrim import _kernels
 from byztrim._inputs import int_value, json_object, node_ids
 from byztrim.digraph import Digraph
+from byztrim.protocol import in_degree_error
 
 SYNC = "sync"
 ASYNC = "async"
@@ -243,14 +244,10 @@ def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
         out.append(
             DegreeViolation("node-count", None, f"n={g.n} <= 5f={5 * f}")
         )
-    if f > 0:
-        need = 3 * f + 1
-        for v in g.nodes:
-            d = g.in_degree(v)
-            if d < need:
-                out.append(
-                    DegreeViolation("in-degree", v, f"node {v} has in-degree {d} < 3f+1={need}")
-                )
+    for v in g.nodes:
+        detail = in_degree_error(g, v, f)
+        if detail is not None:
+            out.append(DegreeViolation("in-degree", v, detail))
     return out
 
 

@@ -1,5 +1,5 @@
-"""Experiment orchestration: graph generators, theoretical contraction-bound
-verification, and seeded batch runs."""
+"""Experiment support: graph generators and theoretical contraction-bound
+verification."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from typing import Iterator, Sequence
 
 from byztrim._inputs import INT, REAL, int_value, spec_params
 from byztrim.digraph import Digraph
-from byztrim.simnet import SimConfig, Trace, run_simulation
 
 CONTRACTION_SLACK = 1e-9
 
@@ -123,25 +122,3 @@ def verify_contraction(
     )
     return ok, report
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named batch of simulations: one base config re-run under several
-    distinct seeds."""
-
-    name: str
-    config: SimConfig
-    seeds: tuple[int, ...]
-
-    def validate(self) -> None:
-        self.config.validate()
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("experiment seeds must be distinct")
-        if not self.seeds:
-            raise ValueError("experiment needs at least one seed")
-
-
-def run_experiment(spec: ExperimentSpec) -> list[Trace]:
-    """Run every seed, in seed order."""
-    spec.validate()
-    return [run_simulation(dataclasses.replace(spec.config, seed=s)) for s in spec.seeds]

@@ -89,10 +89,8 @@ class NodeState:
         # Why apply_update cannot run on this node, if it cannot: the degree
         # and trim rules depend on the graph alone.  A node that never
         # updates (a faulty one only paces rounds) never raises it.
-        self.update_error: str | None = None
-        if f > 0 and not require_all and len(self.in_nbrs) < 3 * f + 1:
-            self.update_error = f"node {node_id} has in-degree {len(self.in_nbrs)} < 3f+1={3 * f + 1}"
-        elif self.in_nbrs and self.expected_count <= 2 * f:
+        self.update_error = None if require_all else in_degree_error(g, node_id, f)
+        if self.update_error is None and self.in_nbrs and self.expected_count <= 2 * f:
             self.update_error = f"node {node_id}: trimming 2f={2 * f} values leaves nothing to average"
         # tag -> {sender: value}, insertion-ordered per tag (= arrival order)
         self.buffer: dict[int, dict[int, float]] = {}
@@ -165,6 +163,15 @@ class NodeState:
         return self.value
 
 
+def in_degree_error(g: Digraph, v: int, f: int) -> str | None:
+    """Why node v cannot run the asynchronous update on g, or None: for
+    f > 0 it needs in-degree at least 3f+1."""
+    degree = len(g.in_nbrs[v])
+    if f > 0 and degree < 3 * f + 1:
+        return f"node {v} has in-degree {degree} < 3f+1={3 * f + 1}"
+    return None
+
+
 def init_node(node_id: int, value: float, g: Digraph, f: int, require_all: bool = False) -> NodeState:
     """Fresh node state: stored input, round 1 in progress, empty buffer."""
     return NodeState(node_id, value, g, f, require_all=require_all)
@@ -177,10 +184,7 @@ def compute_alpha(g: Digraph, f: int) -> Fraction:
     weight is the unit fraction 1/(max in-degree + 1 - 3f).
     """
     int_value(f, "f", 0)
-    degrees = [len(g.in_nbrs[v]) for v in g.nodes]
-    if f > 0 and min(degrees) < 3 * f + 1:
-        bad = min(range(g.n), key=lambda v: len(g.in_nbrs[v]))
-        raise ProtocolError(
-            f"node {bad} has in-degree {len(g.in_nbrs[bad])} < 3f+1={3 * f + 1}"
-        )
-    return Fraction(1, max(degrees) + 1 - 3 * f)
+    error = in_degree_error(g, min(g.nodes, key=lambda v: len(g.in_nbrs[v])), f)
+    if error is not None:
+        raise ProtocolError(error)
+    return Fraction(1, max(len(g.in_nbrs[v]) for v in g.nodes) + 1 - 3 * f)

@@ -25,8 +25,8 @@ from byztrim._inputs import (
     FLOAT_MAX, NODES, REAL, int_value, json_list, json_number, json_object, real_value, spec_params
 )
 from byztrim.digraph import Digraph, parse_graph
-from byztrim.conditions import Partition
-from byztrim.protocol import NodeState, RoundMessage, init_node
+from byztrim.conditions import ASYNC, Partition, in_set, threshold
+from byztrim.protocol import NodeState, RoundMessage
 
 VALIDITY_SLACK = 1e-12
 
@@ -36,7 +36,9 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ByzantineSpec:
+class _Spec:
+    """A kind and its params, checked against a kind table by validate()."""
+
     kind: str
     params: dict = field(default_factory=dict)
 
@@ -44,13 +46,12 @@ class ByzantineSpec:
         return {"kind": self.kind, "params": self.params}
 
 
-@dataclass(frozen=True)
-class SchedulerSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
+class ByzantineSpec(_Spec):
+    """The faulty nodes' behavior: a kind of _BEHAVIORS and its params."""
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params}
+
+class SchedulerSpec(_Spec):
+    """The message pool: a kind of _SCHEDULERS and its params."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,10 @@ class SimConfig:
         """Check every rule of a config, loaded from JSON or built in Python:
         `f`, `seed` and `max_rounds` are integers (not booleans), `f` >= 0
         and `max_rounds` >= 1, `fault_set` entries integers, `inputs` and
-        `epsilon` finite reals; the range rules below; known scheduler and
+        `epsilon` finite reals, each input of magnitude at most FLOAT_MAX /
+        (n + 1) (an update sums at most n values of the fault-free range,
+        and the spare 1 absorbs the sum's rounding, so no sum or spread
+        overflows); the range rules below; known scheduler and
         byzantine kinds with valid params (the kind tables _SCHEDULERS and
         _BEHAVIORS, checked by spec_params).  Return the checked scheduler and byzantine
         params (None without a byzantine spec) as floats and tuples of node
@@ -81,8 +85,10 @@ class SimConfig:
             int_value(getattr(self, name), name, minimum)
         for v in self.fault_set:
             int_value(v, "fault_set entry")
+        bound = FLOAT_MAX / (self.graph.n + 1)
         for x in self.inputs:
-            real_value(x, "input")
+            if abs(real_value(x, "input")) > bound:
+                raise ValueError(f"input magnitude must be at most FLOAT_MAX/(n+1)={bound!r}, got {x!r}")
         real_value(self.epsilon, "epsilon")
         if len(self.fault_set) > self.f:
             raise ValueError(f"|fault set|={len(self.fault_set)} exceeds f={self.f}")
@@ -157,7 +163,6 @@ _CONFIG_FIELDS = frozenset(
     ("graph", "f", "fault_set", "inputs", "scheduler", "byzantine", "seed", "max_rounds", "epsilon")
 )
 _SPEC_FIELDS = frozenset(("kind", "params"))
-_SIDES = {"left": NODES, "center": NODES, "right": NODES}
 
 
 class Delivery(NamedTuple):
@@ -253,9 +258,16 @@ def _derived_rng(seed: int, node: int, tag: int) -> random.Random:
     return random.Random(mix)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, bit for bit where a + b is finite, and finite where it
+    is not."""
+    total = a + b
+    return total / 2.0 if abs(total) <= FLOAT_MAX else a / 2.0 + b / 2.0
+
+
 def _split_behavior(p: dict, seed: int):
     m, big_m = p["m"], p["M"]
-    levels = (p.get("m_minus", m - 1.0), p.get("M_plus", big_m + 1.0), (m + big_m) / 2.0)
+    levels = (p.get("m_minus", m - 1.0), p.get("M_plus", big_m + 1.0), _midpoint(m, big_m))
     left = set(p.get("left", ()))
     right = set(p.get("right", ()))
     # out-neighbour tuple -> its runs as (dests, index into levels)
@@ -301,10 +313,10 @@ def _silent_behavior(p: dict, seed: int):
 # round tag as (dests, message) runs in out-neighbour order: a run is a
 # maximal stretch of consecutive out-neighbours sent the same message
 # ("random" sends each its own).  Defaults: "split" `m_minus` m-1, `M_plus`
-# M+1, node lists `left`, `center`, `right` empty; "random" `low` 0, `high` 1.
+# M+1, node lists `left`, `right` empty; "random" `low` 0, `high` 1.
 _BEHAVIORS = {
     "split": (
-        {"m": REAL, "M": REAL, "m_minus": REAL, "M_plus": REAL, **_SIDES},
+        {"m": REAL, "M": REAL, "m_minus": REAL, "M_plus": REAL, "left": NODES, "right": NODES},
         ("m", "M"),
         _split_behavior,
     ),
@@ -479,12 +491,9 @@ class AdaptiveDelayScheduler:
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
         self.withheld: dict[int, frozenset[int]] = {}
-        for v in sorted(left):
-            cross = sorted(g.in_nbrs[v] & (center | right))
-            self.withheld[v] = frozenset(cross[: min(f, len(cross))])
-        for v in sorted(right):
-            cross = sorted(g.in_nbrs[v] & (left | center))
-            self.withheld[v] = frozenset(cross[: min(f, len(cross))])
+        for side, cross in ((left, center | right), (right, left | center)):
+            for v in sorted(side):
+                self.withheld[v] = frozenset(sorted(g.in_nbrs[v] & cross)[:f])
         self.held: dict[int, list[tuple[int, int, tuple[int, int, RoundMessage]]]] = {
             v: [] for v, senders in self.withheld.items() if senders
         }
@@ -564,7 +573,7 @@ _SCHEDULERS = {
     "fifo": ({}, (), lambda config, p: FifoScheduler(config.seed)),
     "synchronous": ({}, (), lambda config, p: SynchronousScheduler()),
     "adaptive-delay": (
-        _SIDES,
+        {"left": NODES, "center": NODES, "right": NODES},
         (),
         lambda config, p: AdaptiveDelayScheduler(
             config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
@@ -601,9 +610,7 @@ def run_simulation(config: SimConfig) -> Trace:
     max_rounds, epsilon = config.max_rounds, config.epsilon
     require_all = config.scheduler.kind == "synchronous"
     fault_free = [v for v in g.nodes if v not in faulty]
-    states: dict[int, NodeState] = {
-        v: init_node(v, config.inputs[v], g, f, require_all=require_all) for v in g.nodes
-    }
+    states = {v: NodeState(v, config.inputs[v], g, f, require_all) for v in g.nodes}
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
     receivers: list[int] = []
     messages: list[RoundMessage] = []
@@ -624,10 +631,22 @@ def run_simulation(config: SimConfig) -> Trace:
     # completed[t] reaches len(fault_free).
     completed = [len(fault_free)]
 
+    def send(v: int, st: NodeState) -> None:
+        """Push v's messages for the round in progress: one push, or one
+        per run of its behaviour if v is faulty."""
+        nonlocal seq
+        if v in faulty:
+            for dests, msg in behavior(v, st.round - 1, st.out_nbrs):
+                push(seq, dests, msg)
+                seq += len(dests)
+        else:
+            push(seq, st.out_nbrs, st.outgoing_message())
+            seq += len(st.out_nbrs)
+
     def process_ready(v: int) -> None:
         """Update v, which is ready, and send its next round's messages;
         again while it stays ready."""
-        nonlocal seq, outcome, converged_round
+        nonlocal outcome, converged_round
         st = states[v]
         while outcome is None and st.round <= max_rounds:
             if v in faulty:
@@ -654,23 +673,13 @@ def run_simulation(config: SimConfig) -> Trace:
                 advanced(v, st.round)
             if outcome is not None or st.round > max_rounds:
                 return
-            if v in faulty:
-                for dests, msg in behavior(v, st.round - 1, st.out_nbrs):
-                    push(seq, dests, msg)
-                    seq += len(dests)
-            else:
-                push(seq, st.out_nbrs, st.outgoing_message())
-                seq += len(st.out_nbrs)
+            send(v, st)
             if not st.round_ready():
                 return
 
     if outcome is None:
         for v in sorted(g.nodes):
-            st = states[v]
-            runs = behavior(v, 0, st.out_nbrs) if v in faulty else [(st.out_nbrs, st.outgoing_message())]
-            for dests, msg in runs:
-                push(seq, dests, msg)
-                seq += len(dests)
+            send(v, states[v])
         for v in sorted(g.nodes):
             if states[v].round_ready():
                 process_ready(v)
@@ -722,24 +731,27 @@ def build_attack_config(
         raise ValueError("partition fault set larger than f")
     if not partition.left or not partition.right:
         raise ValueError("partition must have non-empty left and right sides")
-    r = 2 * f + 1
-    for v in sorted(partition.left):
-        if len(g.in_nbrs[v] & (partition.center | partition.right)) >= r:
-            raise ValueError(f"partition does not violate the condition: left node {v} has >= {r} cross in-edges")
-    for v in sorted(partition.right):
-        if len(g.in_nbrs[v] & (partition.left | partition.center)) >= r:
-            raise ValueError(f"partition does not violate the condition: right node {v} has >= {r} cross in-edges")
-    levels = {**dict.fromkeys(partition.left, float(m)), **dict.fromkeys(partition.right, float(big_m))}
-    sides = {side: sorted(getattr(partition, side)) for side in ("left", "center", "right")}
+    left, center, right = partition.left, partition.center, partition.right
+    r = threshold(f, ASYNC)
+    for side, nodes, cross in (("left", left, center | right), ("right", right, left | center)):
+        reached = in_set(g, cross, nodes, r)
+        if reached:
+            raise ValueError(
+                f"partition does not violate the condition: {side} node {min(reached)} has >= {r} cross in-edges"
+            )
+    levels = {**dict.fromkeys(left, float(m)), **dict.fromkeys(right, float(big_m))}
+    mid = _midpoint(m, big_m)
+    sides = {"left": sorted(left), "center": sorted(center), "right": sorted(right)}
     return SimConfig(
         graph=g,
         f=f,
         fault_set=partition.faulty,
-        inputs=tuple(levels.get(v, (m + big_m) / 2.0) for v in g.nodes),
-        scheduler=SchedulerSpec("adaptive-delay", dict(sides)),
+        inputs=tuple(levels.get(v, mid) for v in g.nodes),
+        scheduler=SchedulerSpec("adaptive-delay", sides),
         byzantine=ByzantineSpec(
             "split",
-            {"m": m, "M": big_m, "m_minus": m - 1.0, "M_plus": big_m + 1.0, **sides},
+            {"m": m, "M": big_m, "m_minus": m - 1.0, "M_plus": big_m + 1.0,
+             "left": sides["left"], "right": sides["right"]},
         )
         if partition.faulty
         else None,

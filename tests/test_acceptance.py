@@ -58,7 +58,7 @@ BEHAVIORS = {
     "split": ByzantineSpec(
         "split",
         {"m": 0.0, "M": 1.0, "m_minus": -1.0, "M_plus": 2.0,
-         "left": [0, 1], "right": [2, 3], "center": [4]},
+         "left": [0, 1], "right": [2, 3]},
     ),
     "identical-wrong": ByzantineSpec("identical-wrong", {"value": 7.0}),
     "random": ByzantineSpec("random", {"low": -5.0, "high": 5.0}),

@@ -484,6 +484,18 @@ class TestAttack:
         assert rc == 0
         assert summary["final_spread"] == 8.0
 
+    @pytest.mark.parametrize("levels", [["--m", "1e308", "--M", "1.7e308"], ["--m=-1e308", "--M", "1e308"]])
+    def test_huge_levels_rejected(self, tmp_path, k5_file, capsys, levels):
+        # Inputs beyond FLOAT_MAX/(n+1) could overflow an update's sum: no
+        # run, no JSON with NaN or Infinity, no trace with inf cells.
+        out = tmp_path / "atk.csv"
+        rc = main(["attack", str(k5_file), "--f", "1", *levels, "--rounds", "10", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: input magnitude must be at most FLOAT_MAX/(n+1)" in captured.err
+        assert not out.exists()
+
     def test_budget_exceeded(self, tmp_path, k5_file, capsys, tiny_budget):
         out = tmp_path / "atk.csv"
         rc = main(["attack", str(k5_file), "--f", "1", "--rounds", "10", "--out", str(out)])

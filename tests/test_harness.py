@@ -7,13 +7,7 @@ import pytest
 
 from byztrim.conditions import check_partition_condition
 from byztrim.digraph import Digraph
-from byztrim.harness import (
-    ExperimentSpec,
-    all_digraphs,
-    generate_graph,
-    run_experiment,
-    verify_contraction,
-)
+from byztrim.harness import all_digraphs, generate_graph, verify_contraction
 from byztrim.protocol import compute_alpha
 from byztrim.simnet import ByzantineSpec, SchedulerSpec, SimConfig, run_simulation
 
@@ -161,24 +155,3 @@ class TestCompleteGraphThreshold:
                 passed = check_partition_condition(g, f, "async").passed
                 assert passed == (n >= 5 * f + 1), (n, f)
 
-
-class TestExperiments:
-    def spec(self, seeds=(1, 2, 3)):
-        g = generate_graph("complete", {"n": 6})
-        cfg = SimConfig(
-            graph=g, f=1, fault_set=frozenset({5}),
-            inputs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-            scheduler=SchedulerSpec("random"),
-            byzantine=ByzantineSpec("identical-wrong", {"value": 9.0}),
-            seed=0, max_rounds=10_000, epsilon=1e-6,
-        )
-        return ExperimentSpec("k6-identical-wrong", cfg, seeds)
-
-    def test_seeds_must_be_distinct(self):
-        with pytest.raises(ValueError, match="distinct"):
-            self.spec(seeds=(1, 1)).validate()
-
-    def test_runs_in_seed_order(self):
-        traces = run_experiment(self.spec())
-        assert [t.config.seed for t in traces] == [1, 2, 3]
-        assert all(t.outcome == "converged" for t in traces)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from byztrim.conditions import DegreeViolation, quick_degree_checks
 from byztrim.digraph import Digraph
 from byztrim.protocol import NodeState, ProtocolError, RoundMessage, compute_alpha, init_node
 
@@ -328,6 +329,17 @@ class TestComputeAlpha:
         g = star_in(3)
         with pytest.raises(ProtocolError, match="3f\\+1"):
             compute_alpha(g, 1)
+
+    def test_degree_message_shared(self):
+        # K6 less node 2's in-edges from 3, 4, 5: one message for the update,
+        # alpha and the condition pre-check.
+        g = Digraph(6, [(i, j) for i in range(6) for j in range(6) if i != j and (j != 2 or i < 2)])
+        message = "node 2 has in-degree 2 < 3f+1=4"
+        with pytest.raises(ProtocolError) as exc:
+            compute_alpha(g, 1)
+        assert str(exc.value) == message
+        assert NodeState(2, 0.0, g, 1).update_error == message
+        assert DegreeViolation("in-degree", 2, message) in quick_degree_checks(g, 1)
 
     @settings(max_examples=60)
     @given(st.integers(4, 40), st.integers(1, 5))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from byztrim._inputs import FLOAT_MAX
 from byztrim.conditions import Partition, check_partition_condition
 from byztrim.digraph import Digraph
 from byztrim.protocol import RoundMessage
@@ -137,6 +138,7 @@ class TestConfigValidation:
         [
             ("byzantine", {"kind": "split", "params": {}}, "missing param\\(s\\) 'm', 'M'"),
             ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "mid": 0.5}}, "unknown param\\(s\\) 'mid'"),
+            ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "center": [4]}}, "unknown param\\(s\\) 'center'"),
             ("byzantine", {"kind": "split", "params": {"m": 0, "M": "1"}}, "'M' must be a finite number"),
             ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "left": [0.0]}}, "'left' entry must be an integer"),
             ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "right": [6]}}, "entry 6 is not a node"),
@@ -187,6 +189,9 @@ class TestConfigValidation:
         [
             (dict(inputs=(float("nan"),) + (0.0,) * 5), "input must be a finite number"),
             (dict(inputs=(float("inf"),) + (0.0,) * 5), "input must be a finite number"),
+            # An update sums up to n values: beyond FLOAT_MAX/(n+1) a sum could overflow.
+            (dict(inputs=(1e308,) + (0.0,) * 5), "input magnitude must be at most FLOAT_MAX/\\(n\\+1\\)"),
+            (dict(inputs=(0.0,) * 5 + (-FLOAT_MAX / 6,)), "input magnitude must be at most"),
             (dict(epsilon=float("nan")), "epsilon must be a finite number"),
             (dict(epsilon=10**400), "epsilon must be a finite number"),
             (dict(seed=1.5), "seed must be an integer"),
@@ -214,10 +219,25 @@ class TestConfigValidation:
         assert all(type(byzantine[name]) is float for name in ("m", "M"))
         assert k6_config().validate() == ({}, None)
 
+    def test_inputs_at_the_bound_stay_finite(self):
+        # Three copies of FLOAT_MAX/3 sum to inf in float; inputs within
+        # FLOAT_MAX/(n+1) never overflow a sum or a spread, and a faulty
+        # node's extreme values are trimmed.
+        bound = FLOAT_MAX / 7
+        for sched in ("random", "fifo", "synchronous"):
+            trace = run_simulation(k6_config(
+                fault=frozenset({5}), behavior=ByzantineSpec("identical-wrong", {"value": FLOAT_MAX}),
+                inputs=(bound, bound, -bound, bound, -bound / 3, 0.0), scheduler=SchedulerSpec(sched),
+                max_rounds=30, epsilon=0.0,
+            ))
+            assert trace.spread(0) == 2 * bound
+            assert all(abs(s) <= FLOAT_MAX for s in trace.spreads)
+            assert all(abs(x) <= bound for vs in trace.values.values() for x in vs)
+
     def test_attack_config_roundtrips(self, k5):
         w = check_partition_condition(k5, 1, "async").witness
         cfg = build_attack_config(k5, 1, w, 0.0, 1.0, max_rounds=20)
-        assert "center" in cfg.byzantine.params
+        assert list(cfg.byzantine.params) == ["m", "M", "m_minus", "M_plus", "left", "right"]
         assert SimConfig.from_json(cfg.to_json()) == cfg
 
     def test_json_rejects_non_object(self):
@@ -460,6 +480,29 @@ class TestAttack:
         good = Partition(frozenset(), frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5}))
         with pytest.raises(ValueError, match="does not violate"):
             build_attack_config(k6, 1, good, 0.0, 1.0)
+
+    def test_right_side_must_violate(self):
+        # No left node has a cross in-edge; right nodes 4 and 5 have 2f+1 = 3
+        # (from 0, 1, 2) and right node 3 has f+1 = 2, below the async threshold.
+        edges = [(u, v) for v in (4, 5) for u in (0, 1, 2)] + [(0, 3), (1, 3)]
+        w = Partition(frozenset(), frozenset({0, 1, 2}), frozenset(), frozenset({3, 4, 5}))
+        with pytest.raises(ValueError, match="right node 4 has >= 3 cross in-edges"):
+            build_attack_config(Digraph(6, edges), 1, w, 0.0, 1.0)
+
+    def test_huge_levels(self, k5):
+        # The mid level of m=1e308, M=1.7e308 is finite although m + M is
+        # not: as the center node's input and as what the faulty node sends it.
+        w = Partition(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
+        cfg = build_attack_config(complete(4), 1, w, 1e308, 1.7e308)
+        mid = cfg.inputs[2]
+        assert 1e308 < mid < 1.7e308
+        split = ByzantineSpec("split", {"m": 1e308, "M": 1.7e308, "left": [1], "right": [3]})
+        assert byzantine_values(faulty_config(split, 0, (1, 2, 3)), 0, 0) == {1: 1e308, 2: mid, 3: 1.7e308}
+        # Inputs that large could overflow an update's sum, so no run takes them.
+        with pytest.raises(ValueError, match="input magnitude"):
+            run_simulation(cfg)
+        with pytest.raises(ValueError, match="input magnitude"):
+            run_simulation(build_attack_config(k5, 1, self.witness(k5), 0.0, 1e308))
 
     def test_m_below_M_required(self, k5):
         with pytest.raises(ValueError, match="m < M"):
@@ -931,7 +974,7 @@ def _sim_config(draw) -> SimConfig:
     if byz_kind == "split":
         params = {"m": 0.0, "M": 1.0, "left": sides["left"], "right": sides["right"]}
         if rng.random() < 0.5:
-            params.update(m_minus=-2.5, M_plus=3.0, center=sides["center"])
+            params.update(m_minus=-2.5, M_plus=3.0)
     elif byz_kind == "identical-wrong":
         params = {"value": rng.uniform(-1.0, 2.0)}
     elif byz_kind == "random":
@@ -1037,7 +1080,7 @@ class TestSchedulerPools:
         else:
             side = {s: [v for v in range(n) if sides[v] == s] for s in "LCR"}
             pool = AdaptiveDelayScheduler(g, f, side["L"], side["C"], side["R"])
-            naive = oracles.NaiveAdaptiveDelaySelector(pool.withheld)
+            naive = oracles.NaiveAdaptiveDelaySelector(oracles.naive_withheld(g, f, side["L"], side["C"], side["R"]))
         pending: list[oracles.PendingMessage] = []
         rounds = {v: 1 for v in range(n)}
         seq = 0
