@@ -78,7 +78,8 @@ class SimConfig:
         and the spare 1 absorbs the sum's rounding, so no sum or spread
         overflows); the range rules below; known scheduler and
         byzantine kinds with valid params (the kind tables _SCHEDULERS and
-        _BEHAVIORS, checked by spec_params).  Return the checked scheduler and byzantine
+        _BEHAVIORS, checked by spec_params), and a finite `high` - `low`
+        for "random".  Return the checked scheduler and byzantine
         params (None without a byzantine spec) as floats and tuples of node
         ids.  Anything else raises ValueError."""
         for name, minimum in (("f", 0), ("seed", None), ("max_rounds", 1)):
@@ -106,7 +107,10 @@ class SimConfig:
         scheduler = spec_params(sched.kind, sched.params, "scheduler", _SCHEDULERS, n)
         if byz is None:
             return scheduler, None
-        return scheduler, spec_params(byz.kind, byz.params, "byzantine behavior", _BEHAVIORS, n)
+        byzantine = spec_params(byz.kind, byz.params, "byzantine behavior", _BEHAVIORS, n)
+        if byz.kind == "random":
+            _random_range(byzantine)
+        return scheduler, byzantine
 
     def to_json_dict(self) -> dict:
         return {
@@ -291,9 +295,17 @@ def _identical_wrong_behavior(p: dict, seed: int):
     return lambda node, tag, out_nbrs: [(out_nbrs, _new(RoundMessage, (node, tag, value)))]
 
 
+def _random_range(p: dict) -> tuple[float, float]:
+    """A `random` behavior's checked (low, high).  Random.uniform draws
+    low + (high - low) * random(), so high - low must be finite."""
+    low, high = p.get("low", 0.0), p.get("high", 1.0)
+    if not abs(high - low) <= FLOAT_MAX:
+        raise ValueError(f"byzantine behavior 'random' needs a finite high - low, got low={low!r}, high={high!r}")
+    return low, high
+
+
 def _random_behavior(p: dict, seed: int):
-    low = p.get("low", 0.0)
-    high = p.get("high", 1.0)
+    low, high = _random_range(p)
 
     def messages(node: int, tag: int, out_nbrs: tuple[int, ...]) -> list[tuple[tuple[int, ...], RoundMessage]]:
         uniform = _derived_rng(seed, node, tag).uniform
@@ -313,7 +325,8 @@ def _silent_behavior(p: dict, seed: int):
 # round tag as (dests, message) runs in out-neighbour order: a run is a
 # maximal stretch of consecutive out-neighbours sent the same message
 # ("random" sends each its own).  Defaults: "split" `m_minus` m-1, `M_plus`
-# M+1, node lists `left`, `right` empty; "random" `low` 0, `high` 1.
+# M+1, node lists `left`, `right` empty; "random" `low` 0, `high` 1, whose
+# difference must be finite (_random_range).
 _BEHAVIORS = {
     "split": (
         {"m": REAL, "M": REAL, "m_minus": REAL, "M_plus": REAL, "left": NODES, "right": NODES},
@@ -349,13 +362,15 @@ def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, 
 #
 # Every message pool takes `push(seq, dests, msg)`, one message sent to
 # each of `dests` at sequence numbers seq, seq + 1, ..., and `pop()`, the
-# next delivery as (destination, message).  A pool that is not round-blind
-# also hears each rise of a node's round through `advanced(node, round)`.
+# next delivery as (destination, message).  Every pool also hears each rise
+# of a node's round through `advanced(node, round)`; a round-blind pool
+# ignores it.
 
 
 class _RoundBlind:
-    """A pool whose delivery order does not depend on the nodes' rounds;
-    run_simulation does not call its `advanced` hook."""
+    """A pool whose delivery order does not depend on the nodes' rounds: its
+    `advanced` hook, which run_simulation calls as it calls every pool's,
+    does nothing."""
 
     def advanced(self, node: int, round_: int) -> None:
         """Node `node` moved to round `round_`: nothing to do."""
@@ -470,78 +485,49 @@ class AdaptiveDelayScheduler:
     that could have used them, then released (and discarded as stale).  All
     delays stay finite.
 
-    Delivery is the lowest sequence among the messages not withheld.
-    Messages never withheld arrive in sequence order, so they queue in
-    three parallel deques: sequences, destinations and messages.  Messages
-    from a receiver's withheld senders sit in that receiver's heap as
-    (tag, sequence, (sequence, destination, message)) until the receiver's
-    round exceeds tag + 1, and then in the released heap, which orders
-    messages by their first field, the unique sequence.  Releases are
-    eager: `advanced` moves a receiver's releasable messages when its round
-    rises, and `push` sends a message that is releasable already straight
-    to the released heap.  A pop takes the lower of the two heads: O(1)
-    from the queue or O(log released) from the heap.
-
-    Each sender some receiver withholds has a plan per destination tuple it
-    pushes to (built on its first push there): the positions and receivers
-    that never withhold it, queued with one `extend` per deque, and the
-    (position, receiver) pairs that do.  Other senders' pushes are one
-    `extend` per deque."""
+    Delivery is the lowest sequence among the messages not withheld.  Each
+    pending message is one (sequence, destination, message) tuple, and a
+    push places each of its destinations in turn.  Messages never withheld
+    arrive in sequence order, so they queue in one deque.  Messages from a
+    receiver's withheld senders sit in that receiver's heap as (tag,
+    message tuple) until the receiver's round exceeds tag + 1, and then in
+    the released heap, which orders them by the unique sequence.  Releases
+    are eager: `advanced` moves a receiver's releasable messages when its
+    round rises, and `push` sends a message that is releasable already
+    straight to the released heap.  A pop takes the lower of the two heads:
+    O(1) from the queue or O(log released) from the heap."""
 
     def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
-        self.withheld: dict[int, frozenset[int]] = {}
+        # withheld sender -> the receivers that withhold it
+        self.holders: defaultdict[int, set[int]] = defaultdict(set)
         for side, cross in ((left, center | right), (right, left | center)):
             for v in sorted(side):
-                self.withheld[v] = frozenset(sorted(g.in_nbrs[v] & cross)[:f])
-        self.held: dict[int, list[tuple[int, int, tuple[int, int, RoundMessage]]]] = {
-            v: [] for v, senders in self.withheld.items() if senders
+                for sender in sorted(g.in_nbrs[v] & cross)[:f]:
+                    self.holders[sender].add(v)
+        self.held: dict[int, list[tuple[int, tuple[int, int, RoundMessage]]]] = {
+            v: [] for receivers in self.holders.values() for v in receivers
         }
         # The rounds of the receivers that withhold; nodes start in round 1.
         self.round_of = dict.fromkeys(self.held, 1)
-        # sender -> {destination tuple: its plan}, for every withheld sender
-        self.plans: dict[int, dict[tuple[int, ...], tuple]] = {
-            sender: {} for v in self.held for sender in self.withheld[v]
-        }
-        self.seqs: deque[int] = deque()
-        self.dests: deque[int] = deque()
-        self.msgs: deque[RoundMessage] = deque()
+        self.queue: deque[tuple[int, int, RoundMessage]] = deque()
         self.released: list[tuple[int, int, RoundMessage]] = []
 
-    def _plan(self, sender: int, dests: tuple[int, ...]) -> tuple:
-        """(the positions in dests of the receivers that never withhold
-        `sender`, those receivers, the (position, receiver) pairs that do)."""
-        held, withheld = self.held, self.withheld
-        shut = [dest in held and sender in withheld[dest] for dest in dests]
-        opened = tuple(i for i, s in enumerate(shut) if not s)
-        closed = tuple((i, dest) for i, dest in enumerate(dests) if shut[i])
-        return opened, tuple(dests[i] for i in opened), closed
-
     def __len__(self) -> int:
-        return len(self.seqs) + len(self.released) + sum(map(len, self.held.values()))
+        return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
         sender, tag, _ = msg
-        runs = self.plans.get(sender)
-        if runs is None:
-            self.seqs.extend(range(seq, seq + len(dests)))
-            self.dests.extend(dests)
-            self.msgs.extend(repeat(msg, len(dests)))
-            return
-        plan = runs.get(dests)
-        if plan is None:
-            plan = runs[dests] = self._plan(sender, dests)
-        opened, receivers, closed = plan
-        self.seqs.extend(map(seq.__add__, opened))
-        self.dests.extend(receivers)
-        self.msgs.extend(repeat(msg, len(receivers)))
-        for i, dest in closed:
-            pm = (seq + i, dest, msg)
+        holders = self.holders.get(sender, ())
+        append = self.queue.append
+        for i, dest in enumerate(dests, seq):
+            if dest not in holders:
+                append((i, dest, msg))
             # Held while the receiver could still use the tag (round <= tag+1).
-            if self.round_of[dest] > tag + 1:
-                heappush(self.released, pm)
+            elif self.round_of[dest] > tag + 1:
+                heappush(self.released, (i, dest, msg))
             else:
-                heappush(self.held[dest], (tag, seq + i, pm))
+                heappush(self.held[dest], (tag, (i, dest, msg)))
 
     def advanced(self, node: int, round_: int) -> None:
         """Node `node` moved to round `round_`: release what it withheld
@@ -551,17 +537,17 @@ class AdaptiveDelayScheduler:
             return
         self.round_of[node] = round_
         while heap and round_ > heap[0][0] + 1:
-            heappush(self.released, heappop(heap)[2])
+            heappush(self.released, heappop(heap)[1])
 
     def pop(self) -> tuple[int, RoundMessage]:
-        seqs, released = self.seqs, self.released
-        if released and (not seqs or released[0][0] < seqs[0]):
+        queue, released = self.queue, self.released
+        if released and (not queue or released[0][0] < queue[0][0]):
             _, dest, msg = heappop(released)
-            return dest, msg
-        if seqs:
-            seqs.popleft()
-            return self.dests.popleft(), self.msgs.popleft()
-        raise SimulationError("scheduler deadlock: every pending message is withheld")
+        elif queue:
+            _, dest, msg = queue.popleft()
+        else:
+            raise SimulationError("scheduler deadlock: every pending message is withheld")
+        return dest, msg
 
 
 # kind -> (params and their types, required params, factory of the scheduler
@@ -601,7 +587,7 @@ def run_simulation(config: SimConfig) -> Trace:
     A fault-free node's round broadcast is one scheduler push; a faulty
     node's is one push per run of its behaviour, in out-neighbour order.
     Each rise of a node's round reaches the scheduler through its
-    `advanced` hook, unless the pool is round-blind.  The pool pops
+    `advanced` hook, which a round-blind pool ignores.  The pool pops
     (destination, message) pairs, and the delivery log keeps them as two
     columns (see DeliveryLog)."""
     scheduler_params, byzantine_params = config.validate()
@@ -615,8 +601,7 @@ def run_simulation(config: SimConfig) -> Trace:
     receivers: list[int] = []
     messages: list[RoundMessage] = []
     scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
-    push, pop = scheduler.push, scheduler.pop
-    advanced = None if isinstance(scheduler, _RoundBlind) else scheduler.advanced
+    push, pop, advanced = scheduler.push, scheduler.pop, scheduler.advanced
     behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
     seq = 0  # messages sent; seq - len(receivers) of them are pending
 
@@ -669,8 +654,7 @@ def run_simulation(config: SimConfig) -> Trace:
                         outcome, converged_round = "converged", t
                     elif t >= max_rounds:
                         outcome = "max-rounds-hit"
-            if advanced is not None:
-                advanced(v, st.round)
+            advanced(v, st.round)
             if outcome is not None or st.round > max_rounds:
                 return
             send(v, st)

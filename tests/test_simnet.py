@@ -168,6 +168,13 @@ class TestConfigValidation:
             ("scheduler", {"kind": ["random"]}, "scheduler kind must be a string, got \\['random'\\]"),
             ("byzantine", {"kind": 3}, "byzantine behavior kind must be a string, got 3"),
             ("byzantine", {"kind": "split", "params": {"m": 0, "M": 1, "center": [4]}}, "unknown param\\(s\\) 'center'"),
+            # Random.uniform draws low + (high - low) * random(): the difference must be finite.
+            (
+                "byzantine",
+                {"kind": "random", "params": {"low": -1e308, "high": 1e308}},
+                "'random' needs a finite high - low, got low=-1e\\+308, high=1e\\+308",
+            ),
+            ("byzantine", {"kind": "random", "params": {"low": 1.7e308, "high": -1e308}}, "needs a finite high - low"),
         ],
     )
     def test_json_rejects_bad_params(self, section, spec, message):
@@ -282,6 +289,17 @@ class TestByzantineValues:
         assert a == b
         assert byzantine_values(cfg, 4, 8) != a
         assert byzantine_values(dataclasses.replace(cfg, seed=124), 4, 7) != a
+
+    def test_random_range_must_be_finite(self):
+        spec = ByzantineSpec("random", {"low": -1e308, "high": 1e308})
+        with pytest.raises(ValueError, match="needs a finite high - low, got low=-1e\\+308, high=1e\\+308"):
+            byzantine_values(faulty_config(spec, 5, (0, 1, 2, 3, 4)), 5, 0)
+        # A finite difference keeps the draw as it is, however wide.
+        cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -8e307, "high": 8e307}))
+        sent = byzantine_values(cfg, 5, 0)
+        assert len(sent) == 5 and all(abs(x) <= 8e307 for x in sent.values())
+        trace = run_simulation(dataclasses.replace(cfg, max_rounds=20, epsilon=0.0))
+        assert all(abs(d.value) <= 8e307 for d in trace.deliveries)
 
     def test_silent_sends_nothing(self):
         assert byzantine_values(faulty_config(ByzantineSpec("silent"), 0, (1, 2)), 0, 0) == {}
@@ -678,6 +696,21 @@ class TestCsvExport:
             read_trace_csv(str(out))
 
 
+def _adaptive_split_k7() -> SimConfig:
+    """Left nodes 0-2 withhold faulty node 3, right nodes 3-6 withhold node
+    0; node 3 splits its out-neighbours into the runs (0) low, (1) high,
+    (2) low, (4) high, (5, 6) mid, so its first three runs go to receivers
+    that withhold it and the last two, one of them to two receivers, to
+    receivers that do not.  The one golden config whose withheld sender is a
+    faulty `split` node (an attack's faulty nodes are never withheld)."""
+    return SimConfig(
+        graph=complete(7), f=1, fault_set=frozenset({3}), inputs=(0.0, 0.1, 0.2, 0.6, 0.7, 0.8, 0.9),
+        scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 1, 2], "right": [3, 4, 5, 6]}),
+        byzantine=ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [0, 2], "right": [1, 4]}),
+        max_rounds=27,
+    )
+
+
 def _golden_config(kind: str) -> SimConfig:
     if kind == "adaptive-k5":
         k5 = complete(5)
@@ -685,6 +718,8 @@ def _golden_config(kind: str) -> SimConfig:
         return build_attack_config(k5, 1, w, 0.0, 1.0, max_rounds=60)
     if kind == "adaptive-two-cluster":
         return two_cluster_attack(max_rounds=15)[0]
+    if kind == "adaptive-split-k7":
+        return _adaptive_split_k7()
     # Faulty node 7 of K8 splits its out-neighbours 0..6 into the runs
     # (0) low, (1) high, (2) mid, (3, 4) low, (5) high, (6) mid.
     split = ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [0, 3, 4], "right": [1, 5]})
@@ -720,6 +755,7 @@ class TestGoldenDeliveryLog:
         "synchronous": (450, "e9890037f4115f19f993736749357f5275a9736a9e158b6a32314a52258db242"),
         "adaptive-k5": (1199, "dd30c6aaea06eb115bbdebb6e8a2ad58f45af8ac8060ac50531833963c02cf4f"),
         "adaptive-two-cluster": (899, "0397c8306bedb546fc09703c8434e445364bcff1f3297d92c0061d0ec3191f33"),
+        "adaptive-split-k7": (1133, "9c4a3c8abcedf3b7a60d0953056ebdc8f0fb4e8eb54cf9f747046b36007ceb8b"),
         "split-random": (1704, "1c25da95e4b3e1c26e806c62dc9ff5ddac474e815900246bfa6e74505acdcbea"),
         "split-fifo": (1022, "5f8449658b2b4a85fbbe63dd8cdd3282c339bfdb77d5d0aea629d755a07345e4"),
         "split-synchronous": (1119, "433aa2360ab7ff0032f46a7cd73c2b8d7cebc5b076ee454d97f3afd635f3dad9"),
@@ -868,46 +904,13 @@ class TestFaultyRuns:
         assert [dests for _, dests, _ in pushes] == runs * (len(pushes) // len(runs))
 
 
-class TestAdaptivePlans:
-    """The adaptive-delay pool plans a withheld sender's push once per
-    destination tuple, however many rounds the sender sends to it."""
-
-    def test_one_plan_per_run(self, monkeypatch):
-        # Left nodes 0-2 withhold faulty node 3, right nodes 3-6 withhold
-        # node 0; node 3 splits its out-neighbours into the runs (0) low,
-        # (1) high, (2) low, (4) high, (5, 6) mid.
-        config = SimConfig(
-            graph=complete(7), f=1, fault_set=frozenset({3}), inputs=(0.0, 0.1, 0.2, 0.6, 0.7, 0.8, 0.9),
-            scheduler=SchedulerSpec("adaptive-delay", {"left": [0, 1, 2], "right": [3, 4, 5, 6]}),
-            byzantine=ByzantineSpec("split", {"m": 0.0, "M": 1.0, "left": [0, 2], "right": [1, 4]}),
-            max_rounds=27,
-        )
-        plans, pushes = [], set()
-        plan, push = AdaptiveDelayScheduler._plan, AdaptiveDelayScheduler.push
-
-        def counting_plan(self, sender, dests):
-            plans.append((sender, dests))
-            return plan(self, sender, dests)
-
-        def recording_push(self, seq, dests, msg):
-            pushes.add((msg.sender, dests))
-            push(self, seq, dests, msg)
-
-        monkeypatch.setattr(AdaptiveDelayScheduler, "_plan", counting_plan)
-        monkeypatch.setattr(AdaptiveDelayScheduler, "push", recording_push)
-        trace = run_simulation(config)
-        assert trace.outcome == "max-rounds-hit" and trace.common_rounds == 27
-        assert sorted(plans) == sorted(p for p in pushes if p[0] in (0, 3))
-        assert len(plans) == 6
-
-
 class TestBroadcastPush:
     """A fault-free node's broadcast is one push(seq, dests, msg) and a
     faulty node's one push per run of its behaviour.  To every pool one
     push and one push per destination are the same: the same pops, in the
     same order, or the same deadlock, under a stream of broadcasts (to the
-    sender's out-neighbours, the adaptive pool's planned case, or to a
-    shuffled subset of them), round rises and pops."""
+    sender's out-neighbours or to a shuffled subset of them), round rises
+    and pops."""
 
     @staticmethod
     def _pops(kind: str, per_destination: bool) -> list:
@@ -1032,9 +1035,11 @@ class TestEventLoopOracle:
 def _pool_scenario(draw):
     """A digraph, an L/C/R/faulty assignment, f, and a stream of operations
     ("push", edge index, tag), ("broadcast", sender, tag) to the sender's
-    sorted out-neighbours, ("pop",) or ("rise", node, step), drawn from a
-    seeded generator so that long streams stay cheap.  Any node's round
-    may rise at any time."""
+    sorted out-neighbours, ("pop",), ("rise", node, step) or ("run",
+    sender, start, stop, tag) to the slice [start:stop] of the sender's
+    sorted out-neighbours (a faulty node's run), drawn from a seeded
+    generator so that long streams stay cheap.  Any node's round may rise
+    at any time."""
     n = draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
@@ -1048,10 +1053,15 @@ def _pool_scenario(draw):
             ops.append(("push", rng.randrange(len(edges)), rng.randrange(5)))
         elif x < 0.45:
             ops.append(("broadcast", rng.randrange(n), rng.randrange(5)))
-        elif x < 0.85:
+        elif x < 0.75:
             ops.append(("pop",))
-        else:
+        elif x < 0.9:
             ops.append(("rise", rng.randrange(n), rng.randint(1, 2)))
+        else:
+            sender = rng.randrange(n)
+            degree = sum(u == sender for u, _ in edges)
+            start = rng.randint(0, degree)
+            ops.append(("run", sender, start, rng.randint(start, degree), rng.randrange(5)))
     return n, edges, sides, f, ops
 
 
@@ -1085,13 +1095,15 @@ class TestSchedulerPools:
         rounds = {v: 1 for v in range(n)}
         seq = 0
         for op in ops:
-            if op[0] in ("push", "broadcast"):
+            if op[0] in ("push", "broadcast", "run"):
                 if op[0] == "push":
                     sender, dest = edges[op[1]]
                     dests = (dest,)
                 else:
                     sender, dests = op[1], tuple(sorted(g.out_nbrs[op[1]]))
-                msg = RoundMessage(sender, op[2], float(seq))
+                    if op[0] == "run":
+                        dests = dests[op[2] : op[3]]
+                msg = RoundMessage(sender, op[-1], float(seq))
                 pool.push(seq, dests, msg)
                 for dest in dests:
                     pending.append(oracles.PendingMessage(seq, dest, msg))
