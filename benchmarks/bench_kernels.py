@@ -7,10 +7,14 @@ incremental reduced-graph sweep of `byztrim._kernels`, best of `--repeat`
 runs each.
 
 The partition scaling rows run the asynchronous partition check once, at
-its default budget, on complete graphs K12..K24 (f=2 and 3), where every
-node is a twin of every other, and on twin-free random graphs with
-p = 0.9, n = 12..16 (f=2).  Each prints the verdict, the search nodes
+its default budget, on complete graphs K12..K24 (f=2 and 3) and K24 (f=4),
+where every node is a twin of every other, and on twin-free random graphs
+with p = 0.9, n = 12..16 (f=2).  Each prints the verdict, the search nodes
 visited (`examined`) and the seconds taken.
+
+The reduction scaling rows run the reduced-graph check and the
+source-size check side by side on K6 and K7 (f=2), at their default
+budget, best of `--repeat` runs each, with verdict and `examined`.
 
 The simulator rows time `run_simulation` per scheduler and report
 deliveries per second: `random`, `fifo` and `synchronous` on complete
@@ -56,7 +60,12 @@ import tracemalloc
 
 from byztrim import _kernels, simnet
 from byztrim.protocol import NodeState, RoundMessage
-from byztrim.conditions import ASYNC, check_partition_condition
+from byztrim.conditions import (
+    ASYNC,
+    check_partition_condition,
+    check_reduced_graph_condition,
+    check_source_component_size,
+)
 from byztrim.digraph import Digraph
 from byztrim.harness import generate_graph
 
@@ -100,6 +109,7 @@ def workloads():
     def reduction_sweep_n5():
         for masks in sweep:
             _kernels.failing_reduction(5, masks, 1, 1, 10**9)
+            _kernels.failing_reduction(5, masks, 1, 2, 10**9)
             partition(5, masks, 1, 2)
 
     return [
@@ -108,7 +118,7 @@ def workloads():
         ("partition check, K12 async f=2 (pass)", partition_pass_k12),
         ("reduced-graph check, K6 f=1 (pass)", reduction_k6),
         ("source-size check, K7 f=1 (pass)", source_size_k7),
-        ("200-graph n=5 sweep (both checks)", reduction_sweep_n5),
+        ("200-graph n=5 sweep (all three checks)", reduction_sweep_n5),
     ]
 
 
@@ -252,6 +262,7 @@ def partition_scaling_rows() -> list[dict]:
         for n in (12, 16, 20, 24)
         for f in (2, 3)
     ]
+    graphs.append(("K24 f=4", generate_graph("complete", {"n": 24}), 4))
     graphs += [
         (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2)
         for n in range(12, 17)
@@ -262,6 +273,20 @@ def partition_scaling_rows() -> list[dict]:
         report = check_partition_condition(g, f, ASYNC)
         seconds = time.perf_counter() - start
         rows.append({"name": name, "verdict": report.verdict, "examined": report.examined, "seconds": seconds})
+    return rows
+
+
+def reduction_scaling_rows(repeat: int) -> list[dict]:
+    checks = (("reduced-graph", check_reduced_graph_condition), ("source-size", check_source_component_size))
+    rows = []
+    for n in (6, 7):
+        g = generate_graph("complete", {"n": n})
+        for label, check in checks:
+            report = check(g, 2)
+            seconds = best_time(functools.partial(check, g, 2), repeat)
+            rows.append(
+                {"name": f"K{n} f=2 {label}", "verdict": report.verdict, "examined": report.examined, "seconds": seconds}
+            )
     return rows
 
 
@@ -319,6 +344,10 @@ SECTIONS = {
         "partition check, async",
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
     ),
+    "reduction_scaling": (
+        "reduced-graph sweep, sync",
+        [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
+    ),
     "protocol": ("protocol update", [("in-degree", "in_degree", 10, "d"), ("us/call", "us_per_call", 10, ".2f")]),
     "simulator": (
         "simulator run",
@@ -348,6 +377,7 @@ def main() -> int:
     sections = {
         "kernels": lambda: kernel_rows(args.repeat),
         "partition_scaling": partition_scaling_rows,
+        "reduction_scaling": lambda: reduction_scaling_rows(args.repeat),
         "protocol": lambda: protocol_rows(args.repeat),
         "simulator": lambda: simulator_rows(args.repeat),
         "csv": lambda: csv_rows(args.repeat),

@@ -36,14 +36,27 @@ FAIL = "fail"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-def _fault_masks(n: int, f: int) -> list[int]:
-    masks = []
-    for k in range(min(f, n) + 1):
-        for combo in itertools.combinations(range(n), k):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            masks.append(m)
+def _fault_masks(n: int, f: int, pred: list[int]) -> list[int]:
+    """Fault sets of size <= f, by size then lexicographic, that hold
+    pred[v], a bitmask of nodes before v, whenever they hold v.
+
+    With pred all 0 this is every fault set.  With twin predecessors it is
+    every fault set that is a prefix of each twin class.  The sets of size
+    k are built from those of size k - 1, in their order, each grown by
+    every larger node v whose pred[v] it holds, in increasing order.  That
+    keeps lexicographic order and builds no other set.
+    """
+    masks = [0]
+    # (fault set, the smallest node it may still grow by)
+    level = [(0, 0)]
+    for _ in range(min(f, n)):
+        level = [
+            (mask | 1 << v, v + 1)
+            for mask, low in level
+            for v in range(low, n)
+            if not pred[v] & ~mask
+        ]
+        masks += [mask for mask, _ in level]
     return masks
 
 
@@ -97,12 +110,13 @@ def violating_partition(
 
     Twin classes (see _twin_predecessors) cut the rest.  A swap of twins
     maps a violating partition to one that violates equally, with the same
-    |F|.  So the search skips every fault set that is not a prefix of each
-    twin class (the swap gives an earlier one), and within each class's
-    survivors it places digits that never decrease in node order: a node
-    skips L after a twin placed in C and goes to R after a twin placed in
-    R.  No cut can skip the first violating partition, since each removes
-    only partitions with an equally violating partition earlier.
+    |F|.  So the search visits only fault sets that are a prefix of each
+    twin class (for any other the swap gives an earlier one; _fault_masks
+    builds just these), and within each class's survivors it places digits
+    that never decrease in node order: a node skips L after a twin placed
+    in C and goes to R after a twin placed in R.  No cut can skip the
+    first violating partition, since each removes only partitions with an
+    equally violating partition earlier.
 
     Every placement tried is one examined search node; expanding a node
     tries all its placements at once.  Returns (status, examined, witness)
@@ -126,9 +140,7 @@ def violating_partition(
         return False
 
     examined = 0
-    for f_mask in _fault_masks(n, f):
-        if any(pred[v] & ~f_mask for v in _bits(f_mask)):
-            continue
+    for f_mask in _fault_masks(n, f, pred):
         # Per survivor: its bit, in- and out-masks, and the bit of its
         # previous surviving twin (0 if none).
         nodes = [
@@ -204,13 +216,22 @@ def failing_reduction(
     the last survivor z, the nodes that can become roots are fixed, so the
     leaves (one per kept in-set of z) are scored without walking the graph.
 
-    Every leaf is one examined reduction.  Returns (status, examined,
-    witness) where witness is (fault_mask, {node: kept in-mask}) for the
-    first failing reduction.  Once examined would exceed budget the search
-    stops with BUDGET_EXCEEDED, reporting examined == budget + 1.
+    Counting alone can decide a leaf batch.  When z reaches every
+    survivor, z is a root, and so is each node of z's kept in-set, since it
+    reaches z.  Every kept in-set of z has |in(z) - F| - min(f, |in(z) - F|)
+    nodes, one count per fault set, so each leaf of the batch has at least
+    1 + that many roots; when this reaches min_source_size no leaf fails,
+    and the batch is counted without scoring its leaves.
+
+    Every leaf is one examined reduction, skipped or scored, so examined,
+    the budget and the first failing reduction do not depend on the
+    shortcut.  Returns (status, examined, witness) where witness is
+    (fault_mask, {node: kept in-mask}) for the first failing reduction.
+    Once examined would exceed budget the search stops with
+    BUDGET_EXCEEDED, reporting examined == budget + 1.
     """
     examined = 0
-    for f_mask in _fault_masks(n, min(f, n - 1)):
+    for f_mask in _fault_masks(n, min(f, n - 1), [0] * n):
         survivors = [v for v in range(n) if not (f_mask >> v) & 1]
         options: list[list[int]] = []
         for v in survivors:
@@ -227,6 +248,8 @@ def failing_reduction(
         full = ((1 << n) - 1) & ~f_mask
         last = len(survivors) - 1
         last_options = options[last]
+        # |kept in-set| of z, the same for each of its options.
+        kept_z = last_options[0].bit_count()
         # Entries (index of the next survivor, desc by survivor index, kept
         # in-sets chosen so far as a linked list (kept, parent) in reverse).
         stack = [(0, [1 << v for v in survivors], None)]
@@ -240,11 +263,13 @@ def failing_reduction(
                     )
                 continue
             # Leaves: x != z becomes a root iff it reaches every survivor
-            # outside desc[z] and reaches z's kept in-set.
+            # outside desc[z] and reaches z's kept in-set.  When z reaches
+            # every survivor, z and each node of its kept in-set are roots,
+            # so no leaf fails unless need > kept_z.
             dz = desc[last]
             need = min_source_size - (dz == full)
             hit = None
-            if need > 0:
+            if need > (kept_z if dz == full else 0):
                 cand = [d for d in desc[:last] if d | dz == full]
                 if need == 1:
                     reach = 0

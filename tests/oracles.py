@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from byztrim._kernels import BUDGET_EXCEEDED, FAIL, PASS, _bits, _fault_masks
+from byztrim._kernels import BUDGET_EXCEEDED, FAIL, PASS, _bits
 from byztrim.digraph import Digraph
 from byztrim.conditions import Partition
 from byztrim.protocol import ProtocolError, RoundMessage
@@ -63,6 +63,16 @@ def naive_violating_partition(g: Digraph, f: int, r: int) -> Partition | None:
     return None
 
 
+def all_fault_masks(n: int, f: int) -> list[int]:
+    """Every fault set of size <= f as a bitmask, by size then
+    lexicographic, from itertools.combinations."""
+    return [
+        sum(1 << v for v in combo)
+        for k in range(min(f, n) + 1)
+        for combo in itertools.combinations(range(n), k)
+    ]
+
+
 def reference_violating_partition(
     n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
 ) -> tuple[int, int, tuple[int, int, int, int] | None]:
@@ -104,7 +114,7 @@ def reference_violating_partition(
         return False
 
     examined = 0
-    for f_mask in _fault_masks(n, f):
+    for f_mask in all_fault_masks(n, f):
         rest = [v for v in range(n) if not (f_mask >> v) & 1]
         last = len(rest)
         if last < 2:

@@ -10,7 +10,12 @@ from byztrim import _kernels
 from byztrim.conditions import DEFAULT_PARTITION_BUDGET, check_partition_condition, threshold
 from byztrim.digraph import Digraph
 from conftest import TWIN_RICH_FAMILIES, complete, random_digraph
-from oracles import naive_failing_reduction, naive_violating_partition, reference_violating_partition
+from oracles import (
+    all_fault_masks,
+    naive_failing_reduction,
+    naive_violating_partition,
+    reference_violating_partition,
+)
 
 
 def random_masks(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
@@ -159,6 +164,30 @@ class TestTwinCut:
         assert report.examined < 10_000
 
 
+class TestFaultMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_filtered_combinations(self, data):
+        n = data.draw(st.integers(0, 9))
+        f = data.draw(st.integers(0, 4))
+        # pred[v]: any set of earlier nodes, or a single one as twins give.
+        pred = [
+            data.draw(st.integers(0, (1 << v) - 1) | st.sampled_from([0] + [1 << u for u in range(v)]))
+            for v in range(n)
+        ]
+        expect = [m for m in all_fault_masks(n, f) if not any(pred[v] & ~m for v in range(n) if m >> v & 1)]
+        assert _kernels._fault_masks(n, f, pred) == expect
+
+    def test_no_predecessors_give_every_fault_set(self):
+        assert _kernels._fault_masks(6, 3, [0] * 6) == all_fault_masks(6, 3)
+
+    def test_one_twin_class_gives_its_prefixes(self):
+        masks = complete(24).in_masks()
+        out_masks = list(masks)  # K24 is symmetric
+        pred = _kernels._twin_predecessors(24, masks, out_masks)
+        assert _kernels._fault_masks(24, 4, pred) == [0b0, 0b1, 0b11, 0b111, 0b1111]
+
+
 class TestReductionSweep:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -184,6 +213,31 @@ class TestReductionSweep:
             fault, kept_sets = expect_witness
             assert {v for v in range(n) if f_mask >> v & 1} == fault
             assert {v: {u for u in range(n) if m >> u & 1} for v, m in kept_in.items()} == kept_sets
+
+    # naive_failing_reduction(complete(6), 2, 3, 10**9), pinned because the
+    # literal sweep of its 1,046,657 reductions takes about 90 s.
+    K6_F2_SOURCE_SIZE = ("fail", 1_046_657, ({0, 1}, {2: {5}, 3: {5}, 4: {5}, 5: {4}}))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_source_size_fails_at_the_counting_bound(self, n):
+        # K_n at f=2 fails source-size (f + 1 = 3 roots) in a leaf batch
+        # where z, the last survivor, reaches every survivor and keeps one
+        # in-edge: counting gives 1 + 1 = 2 roots, one short of 3, so the
+        # batch must be scored, not counted.
+        g = complete(n)
+        status, examined, (f_mask, kept_in) = _kernels.failing_reduction(n, g.in_masks(), 2, 3, 10**9)
+        if n < 6:
+            expect = naive_failing_reduction(g, 2, 3, 10**9)
+        else:
+            expect = self.K6_F2_SOURCE_SIZE
+        assert status == expect[0] == _kernels.FAIL
+        assert examined == expect[1]
+        fault, kept_sets = expect[2]
+        assert {v for v in range(n) if f_mask >> v & 1} == fault
+        assert {v: set(_kernels._bits(m)) for v, m in kept_in.items()} == kept_sets
+        z = max(kept_in)
+        assert kept_in[z].bit_count() == 1
+        assert _kernels.source_components(kept_in) == [kept_in[z] | 1 << z]
 
     def test_tiny_budget_is_exceeded_deterministically(self):
         masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6 passes with f=1
