@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from byztrim import _kernels
-from byztrim._inputs import int_value, json_object, node_ids
+from byztrim._inputs import int_value
 from byztrim.digraph import Digraph
 from byztrim.protocol import in_degree_error
 
@@ -87,16 +87,6 @@ class Partition:
             "C": sorted(self.center),
             "R": sorted(self.right),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, n: int) -> "Partition":
-        """A partition of the nodes range(n) from its JSON form: an object
-        with node-id lists `L` and `R` and optional `F` and `C` (each
-        default empty).  A missing side, an unknown field, a list entry
-        that is not a node id of range(n) (booleans and floats are not) or
-        a node on two sides raises ValueError."""
-        json_object(d, "partition", frozenset("FLCR"), ("L", "R"))
-        return cls(*(frozenset(node_ids(d.get(k, []), f"partition {k}", n)) for k in "FLCR"))
 
 
 @dataclass(frozen=True)
@@ -211,10 +201,6 @@ class PropagationTrace:
     def rounds(self) -> int:
         """Number of absorption stages performed (l on success)."""
         return len(self.a_sets) - 1
-
-    @property
-    def stalled_at(self) -> int | None:
-        return None if self.succeeded else self.rounds
 
 
 def propagates(g: Digraph, a: Iterable[int], b: Iterable[int], r: int) -> PropagationTrace:

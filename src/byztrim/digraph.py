@@ -58,9 +58,6 @@ class Digraph:
     def nodes(self) -> range:
         return range(self.n)
 
-    def in_degree(self, v: int) -> int:
-        return len(self.in_nbrs[v])
-
     def in_masks(self) -> tuple[int, ...]:
         """Per-node in-neighbour sets as bitmasks (bit j set iff (j,v) is an edge)."""
         if self._in_masks is None:

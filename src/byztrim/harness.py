@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from byztrim._inputs import INT, REAL, int_value, spec_params
+from byztrim._inputs import INT, REAL, int_value, real_value, spec_params
 from byztrim.digraph import Digraph
 
 CONTRACTION_SLACK = 1e-9
@@ -88,11 +88,19 @@ def verify_contraction(
     (1 - alpha^L/2)^floor(t/L) times the initial spread (plus a small
     absolute slack for float accumulation).  Also reports the worst
     per-window shrink factor actually observed.
+
+    `alpha` must be an int, float or Fraction (not a boolean) in (0, 1],
+    as compute_alpha returns it, and every spread a finite real; anything
+    else raises ValueError.
     """
     int_value(n, "n")
     int_value(f, "f", 0)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction)) or not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be a finite number in (0, 1], got {alpha!r}")
     if not spreads:
         raise ValueError("trace has no rounds")
+    for t, s in enumerate(spreads):
+        real_value(s, f"spread of round {t}")
     window = n - f - 1
     if window < 1:
         raise ValueError(f"need n-f-1 >= 1, got n={n}, f={f}")

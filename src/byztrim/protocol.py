@@ -68,8 +68,7 @@ class NodeState:
     """
 
     __slots__ = (
-        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "require_all", "expected_count",
-        "update_error", "buffer",
+        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "expected_count", "update_error", "buffer",
     )
 
     def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool = False):
@@ -82,7 +81,6 @@ class NodeState:
         self.f = f
         self.in_nbrs = g.in_nbrs[node_id]
         self.out_nbrs = tuple(sorted(g.out_nbrs[node_id]))
-        self.require_all = require_all
         # Messages needed per round: all but f in-edges (all of them when
         # emulating a synchronous execution).
         self.expected_count = len(self.in_nbrs) if require_all else len(self.in_nbrs) - f

@@ -360,11 +360,11 @@ def byzantine_values(config: SimConfig, node: int, round_tag: int) -> dict[int, 
 # ---------------------------------------------------------------------------
 # Schedulers
 #
-# Every message pool takes `push(seq, dests, msg)`, one message sent to
-# each of `dests` at sequence numbers seq, seq + 1, ..., and `pop()`, the
-# next delivery as (destination, message).  Every pool also hears each rise
-# of a node's round through `advanced(node, round)`; a round-blind pool
-# ignores it.
+# A message pool answers three calls and no others: `push(seq, dests,
+# msg)`, one message sent to each of `dests` at sequence numbers seq,
+# seq + 1, ...; `pop()`, the next delivery as (destination, message); and
+# `advanced(node, round)`, each rise of a node's round, which a round-blind
+# pool ignores.  The event loop counts pending messages itself.
 
 
 class _RoundBlind:
@@ -379,9 +379,9 @@ class _RoundBlind:
 class RandomScheduler(_RoundBlind):
     """Uniform out-of-order delivery among all pending messages.
 
-    The pool is two parallel lists in push order, the destinations and the
-    messages, and keeps no sequence numbers (push order is all a draw
-    needs).  A pop draws one index uniformly and removes it from both with
+    The pool is one list of (destination, message) pairs in push order, the
+    pairs that pops return, and keeps no sequence numbers (push order is
+    all a draw needs).  A pop draws one index uniformly and removes it with
     list.pop, O(pending) memmove but no Python-level scan.  The draw is
     Random.randrange(len) written out: getrandbits(k) for the bit length k
     of the bound, redrawn until below it, which yields the same indices
@@ -389,26 +389,21 @@ class RandomScheduler(_RoundBlind):
 
     def __init__(self, seed: int):
         self.getrandbits = random.Random(seed).getrandbits
-        self.dests: list[int] = []
-        self.msgs: list[RoundMessage] = []
-
-    def __len__(self) -> int:
-        return len(self.dests)
+        self.pending: list[tuple[int, RoundMessage]] = []
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        self.dests.extend(dests)
-        self.msgs.extend(repeat(msg, len(dests)))
+        self.pending.extend(zip(dests, repeat(msg)))
 
     def pop(self) -> tuple[int, RoundMessage]:
-        dests, getrandbits = self.dests, self.getrandbits
-        n = len(dests)
+        pending, getrandbits = self.pending, self.getrandbits
+        n = len(pending)
         if not n:
             raise IndexError("pop from an empty message pool")
         k = n.bit_length()
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        return dests.pop(i), self.msgs.pop(i)
+        return pending.pop(i)
 
 
 class FifoScheduler(_RoundBlind):
@@ -417,25 +412,23 @@ class FifoScheduler(_RoundBlind):
     Each link (sender, destination) keeps a deque of (sequence, message) in
     sequence order; `heads` lists the non-empty links' head sequences in
     ascending order, and a pop draws one of them uniformly (the same
-    written-out randrange as RandomScheduler).  O(log links) search plus an
-    O(links) list insert per pop."""
+    written-out randrange as RandomScheduler).  Sequence numbers only grow,
+    so a push appends a link's new head; a pop puts the link's next head
+    back with an O(log links) search and an O(links) list insert."""
 
     def __init__(self, seed: int):
         self.getrandbits = random.Random(seed).getrandbits
         self.links: defaultdict[tuple[int, int], deque[tuple[int, RoundMessage]]] = defaultdict(deque)
         self.heads: list[tuple[int, tuple[int, int]]] = []
 
-    def __len__(self) -> int:
-        return sum(map(len, self.links.values()))
-
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
-        links = self.links
+        links, heads = self.links, self.heads
         sender, _, _ = msg
         for i, dest in enumerate(dests, seq):
             link = (sender, dest)
             queue = links[link]
             if not queue:
-                bisect.insort(self.heads, (i, link))
+                heads.append((i, link))
             queue.append((i, msg))
 
     def pop(self) -> tuple[int, RoundMessage]:
@@ -463,9 +456,6 @@ class SynchronousScheduler(_RoundBlind):
 
     def __init__(self):
         self.heap: list[tuple[int, int, int, RoundMessage]] = []
-
-    def __len__(self) -> int:
-        return len(self.heap)
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
         heap = self.heap
@@ -512,9 +502,6 @@ class AdaptiveDelayScheduler:
         self.round_of = dict.fromkeys(self.held, 1)
         self.queue: deque[tuple[int, int, RoundMessage]] = deque()
         self.released: list[tuple[int, int, RoundMessage]] = []
-
-    def __len__(self) -> int:
-        return len(self.queue) + len(self.released) + sum(map(len, self.held.values()))
 
     def push(self, seq: int, dests: tuple[int, ...], msg: RoundMessage) -> None:
         sender, tag, _ = msg
@@ -707,7 +694,11 @@ def build_attack_config(
     left side starts at m, right side at M, faulty nodes split-send out-of-range
     values per side, and the adaptive scheduler starves each side of enough
     cross-traffic that trimming removes the rest.  On a genuinely violating
-    partition the two sides then never move."""
+    partition the two sides then never move.  The config goes through
+    SimConfig.validate before it is returned, so what run_simulation would
+    reject (a level that is not finite or exceeds the input bound, a
+    boolean level sent by a faulty node, max_rounds below 1) raises
+    ValueError here."""
     if m >= big_m:
         raise ValueError(f"need m < M, got m={m}, M={big_m}")
     partition.check_covers(g)
@@ -726,7 +717,7 @@ def build_attack_config(
     levels = {**dict.fromkeys(left, float(m)), **dict.fromkeys(right, float(big_m))}
     mid = _midpoint(m, big_m)
     sides = {"left": sorted(left), "center": sorted(center), "right": sorted(right)}
-    return SimConfig(
+    config = SimConfig(
         graph=g,
         f=f,
         fault_set=partition.faulty,
@@ -741,6 +732,8 @@ def build_attack_config(
         else None,
         max_rounds=max_rounds,
     )
+    config.validate()
+    return config
 
 
 # ---------------------------------------------------------------------------

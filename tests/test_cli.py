@@ -496,6 +496,15 @@ class TestAttack:
         assert "error: input magnitude must be at most FLOAT_MAX/(n+1)" in captured.err
         assert not out.exists()
 
+    def test_zero_rounds_rejected(self, tmp_path, k5_file, capsys):
+        out = tmp_path / "atk.csv"
+        rc = main(["attack", str(k5_file), "--f", "1", "--rounds", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_budget_exceeded(self, tmp_path, k5_file, capsys, tiny_budget):
         out = tmp_path / "atk.csv"
         rc = main(["attack", str(k5_file), "--f", "1", "--rounds", "10", "--out", str(out)])

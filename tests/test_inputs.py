@@ -12,7 +12,6 @@ import pytest
 
 from byztrim.cli import main
 from byztrim.conditions import (
-    Partition,
     check_partition_condition,
     check_reduced_graph_condition,
     check_source_component_size,
@@ -56,7 +55,6 @@ INTEGER_SLOTS = {
     "verify_contraction f": lambda x: verify_contraction([1.0], Fraction(1, 3), 6, x),
     "generate_graph n": lambda x: generate_graph("complete", {"n": x}),
     "generate_graph seed": lambda x: generate_graph("random-uniform", {"n": 4, "p": 0.5}, seed=x),
-    "Partition node list": lambda x: Partition.from_json_dict({"L": [x], "R": [1]}, 6),
     "RoundMessage sender": lambda x: RoundMessage(x, 0, 0.5),
     "RoundMessage tag": lambda x: RoundMessage(1, x, 0.5),
     "RoundMessage._make sender": lambda x: RoundMessage._make((x, 0, 0.5)),
@@ -70,6 +68,8 @@ REAL_SLOTS = {
     "RoundMessage value": lambda x: RoundMessage(1, 0, x),
     "RoundMessage._make value": lambda x: RoundMessage._make((1, 0, x)),
     "RoundMessage._replace value": lambda x: RoundMessage(1, 0, 0.5)._replace(value=x),
+    "verify_contraction alpha": lambda x: verify_contraction([1.0], x, 6, 1),
+    "verify_contraction spread": lambda x: verify_contraction([1.0, x], Fraction(1, 3), 6, 1),
 }
 NAN, INF = float("nan"), float("inf")
 BAD_INTEGERS = (True, 1.5, 6.0, "1", NAN, INF)
@@ -110,6 +110,11 @@ ROWS = (
     # Counts: f is at least 0 and max_rounds at least 1.
     + [(f"{name}=-1", INTEGER_SLOTS[name], -1, "non-negative|>= 0") for name in INTEGER_SLOTS if name.endswith(" f")]
     + [("SimConfig max_rounds=0", INTEGER_SLOTS["SimConfig max_rounds"], 0, ">= 1")]
+    # A contraction rate is a real in (0, 1].
+    + [
+        (f"verify_contraction alpha={value!r}", REAL_SLOTS["verify_contraction alpha"], value, r"in \(0, 1\]")
+        for value in (2, -1, 0, 0.0, 1.5, Fraction(3, 2), "0.5")
+    ]
     + [(f"{name}=-1", INTEGER_SLOTS[name], -1, ">= 0") for name in ("RoundMessage tag", "RoundMessage._replace tag")]
     # float() reading a leading '+' in a value cell is not lax: it is how a
     # number may be written, so the value column takes the other bad texts.

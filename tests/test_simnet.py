@@ -510,17 +510,31 @@ class TestAttack:
     def test_huge_levels(self, k5):
         # The mid level of m=1e308, M=1.7e308 is finite although m + M is
         # not: as the center node's input and as what the faulty node sends it.
-        w = Partition(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
-        cfg = build_attack_config(complete(4), 1, w, 1e308, 1.7e308)
-        mid = cfg.inputs[2]
-        assert 1e308 < mid < 1.7e308
         split = ByzantineSpec("split", {"m": 1e308, "M": 1.7e308, "left": [1], "right": [3]})
-        assert byzantine_values(faulty_config(split, 0, (1, 2, 3)), 0, 0) == {1: 1e308, 2: mid, 3: 1.7e308}
-        # Inputs that large could overflow an update's sum, so no run takes them.
+        sent = byzantine_values(faulty_config(split, 0, (1, 2, 3)), 0, 0)
+        assert sent[1] == 1e308 and 1e308 < sent[2] < 1.7e308 and sent[3] == 1.7e308
+        # Inputs that large could overflow an update's sum, so no attack
+        # config holds them.
+        w = Partition(frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
         with pytest.raises(ValueError, match="input magnitude"):
-            run_simulation(cfg)
+            build_attack_config(complete(4), 1, w, 1e308, 1.7e308)
         with pytest.raises(ValueError, match="input magnitude"):
-            run_simulation(build_attack_config(k5, 1, self.witness(k5), 0.0, 1e308))
+            build_attack_config(k5, 1, self.witness(k5), 0.0, 1e308)
+
+    @pytest.mark.parametrize(
+        "m, big_m, max_rounds, message",
+        [
+            (float("nan"), 1.0, 10, "input must be a finite number, got nan"),
+            (0.0, float("inf"), 10, "input must be a finite number, got inf"),
+            (True, 2.0, 10, "param 'm' must be a finite number, got True"),
+            (0.0, 1.0, 0, "max_rounds must be >= 1, got 0"),
+        ],
+    )
+    def test_config_checked_at_build(self, k5, m, big_m, max_rounds, message):
+        # What run_simulation would reject fails here, before a config (or
+        # its JSON, with a NaN token) exists.
+        with pytest.raises(ValueError, match=message):
+            build_attack_config(k5, 1, self.witness(k5), m, big_m, max_rounds=max_rounds)
 
     def test_m_below_M_required(self, k5):
         with pytest.raises(ValueError, match="m < M"):
@@ -836,6 +850,15 @@ class TestDeliveryLog:
         assert repr(DeliveryLog([], [])) == "[]"
 
 
+def _drain(pool, pending: int, empty: type[Exception]) -> list:
+    """Pop the `pending` messages a test counts in `pool`, then check that
+    the pool holds no more: the next pop raises `empty`."""
+    popped = [pool.pop() for _ in range(pending)]
+    with pytest.raises(empty):
+        pool.pop()
+    return popped
+
+
 class TestInlinedDraw:
     """RandomScheduler and FifoScheduler draw their index with getrandbits
     written out; it must pick what Random(seed).randrange(n) picks, for
@@ -858,7 +881,7 @@ class TestInlinedDraw:
             ref = random.Random(seed)
             while len(expected) > (0 if count == 300 else 4090):
                 assert pool.pop() == expected.pop(ref.randrange(len(expected)))
-            assert len(pool) == len(expected)
+            _drain(pool, len(expected), IndexError)
 
     @pytest.mark.parametrize("kind", ["random", "fifo"])
     def test_empty_pool_pop_raises(self, kind):
@@ -924,6 +947,7 @@ class TestBroadcastPush:
         rng = random.Random(11)
         rounds = dict.fromkeys(range(5), 1)
         seq = 0
+        pending = 0
         popped = []
         for step in range(120):
             if step < 80 and step % 4 < 2:
@@ -938,16 +962,24 @@ class TestBroadcastPush:
                 else:
                     pool.push(seq, dests, msg)
                 seq += len(dests)
+                pending += len(dests)
             elif step % 4 == 2:
                 v = rng.randrange(5)
                 rounds[v] += 1
                 pool.advanced(v, rounds[v])
-            elif len(pool):
+            elif pending:
                 try:
                     popped.append(pool.pop())
                 except SimulationError:
-                    return popped + ["deadlock"]
-        return popped
+                    popped.append("deadlock")
+                else:
+                    pending -= 1
+        # Tags are below 3, so round 4 releases whatever adaptive-delay
+        # still withholds; then every pending message must pop.
+        for v in range(5):
+            pool.advanced(v, max(rounds[v], 4))
+        empty = SimulationError if kind == "adaptive-delay" else IndexError
+        return popped + ["drained"] + _drain(pool, pending, empty)
 
     @pytest.mark.parametrize("kind", ["random", "fifo", "synchronous", "adaptive-delay"])
     def test_same_pops_for_one_push_and_per_destination_pushes(self, kind):
@@ -1121,4 +1153,14 @@ class TestSchedulerPools:
                     assert str(exc).startswith("scheduler deadlock")
                 else:
                     assert pool.pop() == (expected.destination, expected.message)
-            assert len(pool) == len(pending)
+        # Tags are below 5, so round 6 releases whatever adaptive-delay
+        # still withholds; then the pool pops what the naive twin selects
+        # until `pending` is empty, and holds no more.
+        for v in range(n):
+            rounds[v] = max(rounds[v], 6)
+            pool.advanced(v, rounds[v])
+        while pending:
+            expected = pending.pop(naive.select(pending, rounds))
+            assert pool.pop() == (expected.destination, expected.message)
+        with pytest.raises(SimulationError if kind == "adaptive-delay" else IndexError):
+            pool.pop()
