@@ -137,11 +137,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.p is not None:
-        params["p"] = args.p
+    params = {name: value for name, value in (("n", args.n), ("p", args.p)) if value is not None}
     g = harness.generate_graph(args.kind, params, seed=args.seed)
     with open(args.out, "w") as fh:
         json.dump(g.to_dict(), fh, indent=2)
@@ -182,10 +178,7 @@ def _cmd_attack(args) -> int:
         print(_budget_message(report), file=sys.stderr)
         return 2
     if report.passed:
-        print(
-            "error: graph satisfies the asynchronous condition; no violating partition exists",
-            file=sys.stderr,
-        )
+        print("error: graph satisfies the asynchronous condition; no violating partition exists", file=sys.stderr)
         return 1
     config = simnet.build_attack_config(
         g, args.f, report.witness, args.m, args.M, max_rounds=args.rounds
@@ -214,10 +207,7 @@ def _cmd_verify(args) -> int:
         print(_budget_message(precheck), file=sys.stderr)
         return 2
     if not precheck.passed:
-        print(
-            "error: graph fails the asynchronous condition; the contraction bound does not apply",
-            file=sys.stderr,
-        )
+        print("error: graph fails the asynchronous condition; the contraction bound does not apply", file=sys.stderr)
         return 2
     values = simnet.read_trace_csv(args.trace)
     if not values:

@@ -4,27 +4,21 @@ Decides whether a directed graph can support trim-and-average consensus
 against f Byzantine nodes, in two equivalent forms:
 
 * the partition form: no split (F, L, C, R) may leave both L and R starved
-  of cross-traffic at the threshold (f+1 incoming links for synchronous
-  systems, 2f+1 for asynchronous ones);
+  of cross-traffic at the threshold r of the mode's protocol.TimingModel
+  (f+1 incoming links synchronous, 2f+1 asynchronous), whose node-count
+  and in-degree floors also give the asynchronous check a cheap filter;
 * the reduced-graph form (synchronous only): every graph obtained by
   deleting a candidate fault set and up to f further in-edges per node must
   keep exactly one source component.
 
 Verdicts come with machine-checkable witnesses.  Both searches are
 exponential in the worst case and bounded by a budget; past it the verdict
-is "budget-exceeded".  The partition search is a depth-first search that
-cuts a branch as soon as a placed L or R node is reached at the threshold,
-and uses twin nodes (pairs whose swap leaves the graph unchanged) to skip
-fault sets and placements that a swap maps to an earlier one.  Complete and
-clustered graphs, which are rich in twins, are decided up to n = 24 in
-milliseconds; twin-free dense graphs with n = 14 and f = 2 take about half
-a second.  Its report's `examined` counts the search nodes it visited.
-The reduced-graph search
-inspects every minimal reduction and is meant for small instances (K8 with
-f = 1 already exceeds its default budget); its `examined` counts the
-reductions it inspected.  It chooses the kept in-edges node by node and
-keeps each node's reachable set up to date with one bitmask pass per
-choice, so a reduction costs no graph search of its own.
+is "budget-exceeded".  The partition search (the README gives its reach)
+cuts a branch as soon as a placed L or R node is reached at the threshold
+and skips what a swap of twin nodes maps to an earlier branch; its
+`examined` counts search nodes.  The reduced-graph search inspects every
+minimal reduction, keeping each node's reachable set up to date with one
+bitmask pass per kept in-edge choice; its `examined` counts reductions.
 """
 
 from __future__ import annotations
@@ -35,10 +29,7 @@ from typing import Iterable
 from byztrim import _kernels
 from byztrim._inputs import int_value
 from byztrim.digraph import Digraph
-from byztrim.protocol import in_degree_error
-
-SYNC = "sync"
-ASYNC = "async"
+from byztrim.protocol import ASYNC, MODELS, SYNC
 
 DEFAULT_REDUCTION_BUDGET = 5_000_000
 # Search nodes visited by the partition search: a few seconds at the
@@ -47,12 +38,11 @@ DEFAULT_PARTITION_BUDGET = 5_000_000
 
 
 def threshold(f: int, mode: str) -> int:
-    """Reach threshold for a mode: f+1 synchronous, 2f+1 asynchronous."""
-    if mode == SYNC:
-        return f + 1
-    if mode == ASYNC:
-        return 2 * f + 1
-    raise ValueError(f"unknown mode {mode!r}")
+    """Reach threshold for a mode, from its record in protocol.MODELS: f+1
+    synchronous, 2f+1 asynchronous."""
+    if not (isinstance(mode, str) and mode in MODELS):
+        raise ValueError(f"unknown mode {mode!r}")
+    return MODELS[mode].threshold(f)
 
 
 def _unmask(mask: int) -> frozenset[int]:
@@ -219,22 +209,18 @@ def propagates(g: Digraph, a: Iterable[int], b: Iterable[int], r: int) -> Propag
 
 
 def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
-    """Fast necessary-condition filter for the asynchronous condition.
-
-    Reports n <= 5f, and (for f > 0) every node with in-degree below 3f+1.
+    """Fast necessary-condition filter for the asynchronous condition: the
+    node-count and in-degree floors of its record (protocol.TimingModel).
+    Both floors assume a second node, so a one-node graph reports nothing.
     An empty list means "not disproven", not "pass".
     """
     int_value(f, "f", 0)
-    out = []
-    if g.n <= 5 * f:
-        out.append(
-            DegreeViolation("node-count", None, f"n={g.n} <= 5f={5 * f}")
-        )
-    for v in g.nodes:
-        detail = in_degree_error(g, v, f)
-        if detail is not None:
-            out.append(DegreeViolation("in-degree", v, detail))
-    return out
+    model = MODELS[ASYNC]
+    if g.n < 2:
+        return []
+    found = [("node-count", None, model.node_count_error(g.n, f))]
+    found += [("in-degree", v, model.degree_error(g, v, f)) for v in g.nodes]
+    return [DegreeViolation(*row) for row in found if row[2] is not None]
 
 
 def check_partition_condition(
@@ -252,11 +238,9 @@ def check_partition_condition(
     """
     int_value(f, "f", 0)
     r = threshold(f, mode)
-    violations: tuple[DegreeViolation, ...] = ()
-    if mode == ASYNC:
-        # Cheap filter first; the search below remains the source of truth
-        # and supplies the witness.
-        violations = tuple(quick_degree_checks(g, f))
+    # Cheap filter first; the search below remains the source of truth and
+    # supplies the witness.
+    violations = tuple(quick_degree_checks(g, f)) if mode == ASYNC else ()
     verdict, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
     witness = Partition(*map(_unmask, hit)) if hit else None
     return ConditionReport(verdict, "partition", mode, r, f, examined, budget, witness, violations)
@@ -276,7 +260,7 @@ def _reduction_report(
             frozenset((u, v) for v, mask in kept_in.items() for u in _kernels._bits(mask)),
             tuple(map(_unmask, _kernels.source_components(kept_in))),
         )
-    return ConditionReport(verdict, check, SYNC, f + 1, f, examined, budget, witness)
+    return ConditionReport(verdict, check, SYNC, threshold(f, SYNC), f, examined, budget, witness)
 
 
 def check_reduced_graph_condition(
@@ -296,4 +280,4 @@ def check_source_component_size(
     """Pass iff every reduced graph has a unique source component with at
     least f+1 nodes (a necessary consequence of the partition condition)."""
     int_value(f, "f", 0)
-    return _reduction_report(g, f, "source-size", f + 1, budget)
+    return _reduction_report(g, f, "source-size", threshold(f, SYNC), budget)

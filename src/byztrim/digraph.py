@@ -61,13 +61,7 @@ class Digraph:
     def in_masks(self) -> tuple[int, ...]:
         """Per-node in-neighbour sets as bitmasks (bit j set iff (j,v) is an edge)."""
         if self._in_masks is None:
-            masks = []
-            for v in range(self.n):
-                m = 0
-                for u in self.in_nbrs[v]:
-                    m |= 1 << u
-                masks.append(m)
-            self._in_masks = tuple(masks)
+            self._in_masks = tuple(sum(1 << u for u in nbrs) for nbrs in self.in_nbrs)
         return self._in_masks
 
     def to_dict(self) -> dict:

@@ -106,27 +106,11 @@ def verify_contraction(
         raise ValueError(f"need n-f-1 >= 1, got n={n}, f={f}")
     factor = 1.0 - float(alpha) ** window / 2.0
     initial = spreads[0]
-    ok = True
-    first_violation = None
-    for t, s in enumerate(spreads):
-        bound = factor ** (t // window) * initial + CONTRACTION_SLACK
-        if s > bound:
-            ok = False
-            first_violation = t
-            break
-    observed = None
-    for k in range((len(spreads) - 1) // window):
-        lo, hi = spreads[k * window], spreads[(k + 1) * window]
-        if lo > 0:
-            ratio = hi / lo
-            observed = ratio if observed is None else max(observed, ratio)
-    report = ContractionReport(
-        ok=ok,
-        window=window,
-        theoretical_factor=factor,
-        observed_worst_factor=observed,
-        rounds_checked=len(spreads),
-        first_violation_round=first_violation,
+    first_violation = next(
+        (t for t, s in enumerate(spreads) if s > factor ** (t // window) * initial + CONTRACTION_SLACK), None
     )
-    return ok, report
+    ends = spreads[::window]
+    observed = max((hi / lo for lo, hi in zip(ends, ends[1:]) if lo > 0), default=None)
+    ok = first_violation is None
+    return ok, ContractionReport(ok, window, factor, observed, len(spreads), first_violation)
 

@@ -1,14 +1,14 @@
-"""Per-node state machine for asynchronous iterative trim-and-average
-consensus.
+"""Per-node state machine for iterative trim-and-average consensus, and
+the record of each timing model it runs under (TimingModel).
 
 Each node progresses in locally-numbered rounds.  In round t it transmits
-its current value tagged t-1, waits for tagged values on all but f incoming
-edges, discards the f smallest and f largest, and averages the survivors
-together with its own value at equal weight 1/(|in-neighbours|+1-3f).
-"""
+its current value tagged t-1, waits for tagged values on all but its
+model's lag of incoming edges (none in lockstep, f asynchronously), drops
+the f smallest and f largest, and averages the rest with its own value."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import copysign
@@ -20,6 +20,66 @@ from byztrim.digraph import Digraph
 
 class ProtocolError(ValueError):
     """Raised on protocol-rule violations (bad sender, degree too small, ...)."""
+
+
+SYNC = "sync"
+ASYNC = "async"
+
+
+@dataclass(frozen=True)
+class TimingModel:
+    """What a timing model asks of the graph and of each update, all from
+    one number, the lag: the in-edges a node may go without in a round, 0
+    in lockstep (`sync`) and f when delivery is only eventual (`async`,
+    where f silent faulty senders look like slow ones).  lag = lag_per_fault * f.
+
+    * threshold r = f + 1 + lag (f+1 sync, 2f+1 async);
+    * in-degree floor r + f (2f+1, 3f+1) for f >= 1.  A node v below it
+      fails the condition: F = max(0, deg - r + 1) <= f of v's in-neighbours,
+      leaving v at most r - 1; L = {v}, C = {}, R = S - {v}.  Each node of R
+      has at most one in-neighbour, v, in L, below r >= 2;
+    * node-count floor n > f + 2(r - 1) = 3f + 2 lag (3f, 5f).  Else |F| =
+      min(f, n - 2) and the n - |F| survivors split into L and R of at most
+      r - 1 nodes each.  Both floors need a second survivor: n >= 2;
+    * messages awaited per round = in-degree - lag;
+    * values averaged = awaited - 2f + 1 (the kept ones and the own), so
+      alpha = 1/(max in-degree - lag - 2f + 1).
+    """
+
+    mode: str
+    lag_per_fault: int
+
+    def threshold(self, f: int) -> int:
+        return f + 1 + self.lag_per_fault * f
+
+    def degree_floor(self, f: int) -> int:
+        return self.threshold(f) + f
+
+    def node_floor(self, f: int) -> int:
+        """Every n from 2 up to this fails the condition, whatever the edges."""
+        return f + 2 * (self.threshold(f) - 1)
+
+    def awaited(self, degree: int, f: int) -> int:
+        return degree - self.lag_per_fault * f
+
+    def averaged(self, degree: int, f: int) -> int:
+        return self.awaited(degree, f) - 2 * f + 1
+
+    def node_count_error(self, n: int, f: int) -> str | None:
+        if n <= self.node_floor(f):
+            return f"n={n} <= {3 + 2 * self.lag_per_fault}f={self.node_floor(f)}"
+        return None
+
+    def degree_error(self, g: Digraph, v: int, f: int) -> str | None:
+        """Why node v cannot run the update on g, or None.  A node with no
+        in-neighbour that awaits none (f = 0, or lockstep) keeps its value."""
+        degree = len(g.in_nbrs[v])
+        if (degree or self.lag_per_fault * f) and degree < self.degree_floor(f):
+            return f"node {v} has in-degree {degree} < {2 + self.lag_per_fault}f+1={self.degree_floor(f)}"
+        return None
+
+
+MODELS = {SYNC: TimingModel(SYNC, 0), ASYNC: TimingModel(ASYNC, 1)}
 
 
 class _MessageFields(NamedTuple):
@@ -64,14 +124,13 @@ class NodeState:
 
     The buffer keeps the first value received per (sender, tag); messages
     tagged below the round in progress are discarded as stale, later tags
-    are held for future rounds.
+    are held for future rounds.  `model` (asynchronous by default) sets how
+    many messages a round awaits and the in-degree the update needs.
     """
 
-    __slots__ = (
-        "id", "value", "round", "f", "in_nbrs", "out_nbrs", "expected_count", "update_error", "buffer",
-    )
+    __slots__ = ("id", "value", "round", "f", "in_nbrs", "out_nbrs", "expected_count", "update_error", "buffer")
 
-    def __init__(self, node_id: int, value: float, g: Digraph, f: int, require_all: bool = False):
+    def __init__(self, node_id: int, value: float, g: Digraph, f: int, model: TimingModel = MODELS[ASYNC]):
         if not 0 <= int_value(node_id, "node id") < g.n:
             raise ProtocolError(f"node id {node_id} out of range for n={g.n}")
         int_value(f, "f", 0)
@@ -81,15 +140,11 @@ class NodeState:
         self.f = f
         self.in_nbrs = g.in_nbrs[node_id]
         self.out_nbrs = tuple(sorted(g.out_nbrs[node_id]))
-        # Messages needed per round: all but f in-edges (all of them when
-        # emulating a synchronous execution).
-        self.expected_count = len(self.in_nbrs) if require_all else len(self.in_nbrs) - f
+        self.expected_count = model.awaited(len(self.in_nbrs), f)
         # Why apply_update cannot run on this node, if it cannot: the degree
-        # and trim rules depend on the graph alone.  A node that never
-        # updates (a faulty one only paces rounds) never raises it.
-        self.update_error = None if require_all else in_degree_error(g, node_id, f)
-        if self.update_error is None and self.in_nbrs and self.expected_count <= 2 * f:
-            self.update_error = f"node {node_id}: trimming 2f={2 * f} values leaves nothing to average"
+        # rule depends on the graph alone.  A node that never updates (a
+        # faulty one only paces rounds) never raises it.
+        self.update_error = model.degree_error(g, node_id, f)
         # tag -> {sender: value}, insertion-ordered per tag (= arrival order)
         self.buffer: dict[int, dict[int, float]] = {}
 
@@ -161,28 +216,20 @@ class NodeState:
         return self.value
 
 
-def in_degree_error(g: Digraph, v: int, f: int) -> str | None:
-    """Why node v cannot run the asynchronous update on g, or None: for
-    f > 0 it needs in-degree at least 3f+1."""
-    degree = len(g.in_nbrs[v])
-    if f > 0 and degree < 3 * f + 1:
-        return f"node {v} has in-degree {degree} < 3f+1={3 * f + 1}"
-    return None
-
-
 def init_node(node_id: int, value: float, g: Digraph, f: int, require_all: bool = False) -> NodeState:
-    """Fresh node state: stored input, round 1 in progress, empty buffer."""
-    return NodeState(node_id, value, g, f, require_all=require_all)
+    """Fresh node state: stored input, round 1 in progress, empty buffer;
+    lockstep (the sync record) with `require_all`, else asynchronous."""
+    return NodeState(node_id, value, g, f, MODELS[SYNC if require_all else ASYNC])
 
 
 def compute_alpha(g: Digraph, f: int) -> Fraction:
-    """Minimum self-inclusive averaging weight over all nodes, exactly.
-
-    Every node averages |in|+1-3f values at equal weight, so the minimum
-    weight is the unit fraction 1/(max in-degree + 1 - 3f).
-    """
+    """Minimum self-inclusive averaging weight over all nodes, exactly, in
+    the asynchronous model: every node averages its record's `averaged`
+    values at equal weight, so the minimum weight is 1/averaged(max
+    in-degree)."""
     int_value(f, "f", 0)
-    error = in_degree_error(g, min(g.nodes, key=lambda v: len(g.in_nbrs[v])), f)
+    model = MODELS[ASYNC]
+    error = model.degree_error(g, min(g.nodes, key=lambda v: len(g.in_nbrs[v])), f)
     if error is not None:
         raise ProtocolError(error)
-    return Fraction(1, max(len(g.in_nbrs[v]) for v in g.nodes) + 1 - 3 * f)
+    return Fraction(1, model.averaged(max(len(g.in_nbrs[v]) for v in g.nodes), f))

@@ -16,7 +16,7 @@ import json
 import random
 from collections import defaultdict, deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import groupby, repeat
 from typing import Iterable, NamedTuple
@@ -25,8 +25,8 @@ from byztrim._inputs import (
     FLOAT_MAX, NODES, REAL, int_value, json_list, json_number, json_object, real_value, spec_params
 )
 from byztrim.digraph import Digraph, parse_graph
-from byztrim.conditions import ASYNC, Partition, in_set, threshold
-from byztrim.protocol import NodeState, RoundMessage
+from byztrim.conditions import Partition, in_set
+from byztrim.protocol import ASYNC, MODELS, SYNC, NodeState, RoundMessage
 
 VALIDITY_SLACK = 1e-12
 
@@ -72,7 +72,7 @@ class SimConfig:
     def validate(self) -> tuple[dict, dict | None]:
         """Check every rule of a config, loaded from JSON or built in Python:
         `f`, `seed` and `max_rounds` are integers (not booleans), `f` >= 0
-        and `max_rounds` >= 1, `fault_set` entries integers, `inputs` and
+        and `max_rounds` >= 1, `fault_set` a set of integers, `inputs` and
         `epsilon` finite reals, each input of magnitude at most FLOAT_MAX /
         (n + 1) (an update sums at most n values of the fault-free range,
         and the spare 1 absorbs the sum's rounding, so no sum or spread
@@ -84,6 +84,8 @@ class SimConfig:
         ids.  Anything else raises ValueError."""
         for name, minimum in (("f", 0), ("seed", None), ("max_rounds", 1)):
             int_value(getattr(self, name), name, minimum)
+        if not isinstance(self.fault_set, (set, frozenset)):
+            raise ValueError(f"fault_set must be a set or frozenset, got {self.fault_set!r}")
         for v in self.fault_set:
             int_value(v, "fault_set entry")
         bound = FLOAT_MAX / (self.graph.n + 1)
@@ -163,9 +165,7 @@ class SimConfig:
         return cls.from_json_dict(json.loads(text))
 
 
-_CONFIG_FIELDS = frozenset(
-    ("graph", "f", "fault_set", "inputs", "scheduler", "byzantine", "seed", "max_rounds", "epsilon")
-)
+_CONFIG_FIELDS = frozenset(attr.name for attr in fields(SimConfig))
 _SPEC_FIELDS = frozenset(("kind", "params"))
 
 
@@ -450,8 +450,8 @@ class FifoScheduler(_RoundBlind):
 
 class SynchronousScheduler(_RoundBlind):
     """Deliver all messages of a round tag before any later tag (plumbing for
-    lockstep sanity runs; pair with SimConfig scheduler kind "synchronous",
-    which also makes nodes wait for every in-edge).  A heap of (tag,
+    lockstep sanity runs: kind "synchronous", whose _SCHEDULERS row gives the
+    nodes the sync model, so they await every in-edge).  A heap of (tag,
     sequence, destination, message): O(log pending) per pop."""
 
     def __init__(self):
@@ -538,19 +538,20 @@ class AdaptiveDelayScheduler:
 
 
 # kind -> (params and their types, required params, factory of the scheduler
-# from the config and the checked params), checked as _BEHAVIORS is.  Only
-# "adaptive-delay" takes params: node lists `left`, `center`, `right`, each
-# default empty.
+# from the config and the checked params, timing model the nodes run under),
+# checked as _BEHAVIORS is.  Only "adaptive-delay" takes params: node lists
+# `left`, `center`, `right`, each default empty.
 _SCHEDULERS = {
-    "random": ({}, (), lambda config, p: RandomScheduler(config.seed)),
-    "fifo": ({}, (), lambda config, p: FifoScheduler(config.seed)),
-    "synchronous": ({}, (), lambda config, p: SynchronousScheduler()),
+    "random": ({}, (), lambda config, p: RandomScheduler(config.seed), MODELS[ASYNC]),
+    "fifo": ({}, (), lambda config, p: FifoScheduler(config.seed), MODELS[ASYNC]),
+    "synchronous": ({}, (), lambda config, p: SynchronousScheduler(), MODELS[SYNC]),
     "adaptive-delay": (
         {"left": NODES, "center": NODES, "right": NODES},
         (),
         lambda config, p: AdaptiveDelayScheduler(
             config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
         ),
+        MODELS[ASYNC],
     ),
 }
 
@@ -562,7 +563,8 @@ _SCHEDULERS = {
 def run_simulation(config: SimConfig) -> Trace:
     """Drive every node's transmit/receive/update cycle under the configured
     scheduler until the fault-free spread falls to epsilon or every
-    fault-free node completes max_rounds.
+    fault-free node completes max_rounds, every node under the timing model
+    of the scheduler kind's _SCHEDULERS row.
 
     A node is ready once it holds `expected_count` messages tagged with the
     round it waits on, and after process_ready it is not ready (or can no
@@ -581,13 +583,13 @@ def run_simulation(config: SimConfig) -> Trace:
     g, f = config.graph, config.f
     faulty = config.fault_set
     max_rounds, epsilon = config.max_rounds, config.epsilon
-    require_all = config.scheduler.kind == "synchronous"
+    _, _, make_scheduler, model = _SCHEDULERS[config.scheduler.kind]
     fault_free = [v for v in g.nodes if v not in faulty]
-    states = {v: NodeState(v, config.inputs[v], g, f, require_all) for v in g.nodes}
+    states = {v: NodeState(v, config.inputs[v], g, f, model) for v in g.nodes}
     values: dict[int, list[float]] = {v: [states[v].value] for v in fault_free}
     receivers: list[int] = []
     messages: list[RoundMessage] = []
-    scheduler = _SCHEDULERS[config.scheduler.kind][2](config, scheduler_params)
+    scheduler = make_scheduler(config, scheduler_params)
     push, pop, advanced = scheduler.push, scheduler.pop, scheduler.advanced
     behavior = _BEHAVIORS[config.byzantine.kind][2](byzantine_params, config.seed) if faulty else None
     seq = 0  # messages sent; seq - len(receivers) of them are pending
@@ -695,10 +697,10 @@ def build_attack_config(
     values per side, and the adaptive scheduler starves each side of enough
     cross-traffic that trimming removes the rest.  On a genuinely violating
     partition the two sides then never move.  The config goes through
-    SimConfig.validate before it is returned, so what run_simulation would
-    reject (a level that is not finite or exceeds the input bound, a
-    boolean level sent by a faulty node, max_rounds below 1) raises
-    ValueError here."""
+    SimConfig.validate, and the levels through the split behaviour's param
+    check even without a faulty node, before it is returned, so what
+    run_simulation would reject (a level that is not finite or exceeds the
+    input bound, a boolean level, max_rounds below 1) raises ValueError."""
     if m >= big_m:
         raise ValueError(f"need m < M, got m={m}, M={big_m}")
     partition.check_covers(g)
@@ -707,7 +709,7 @@ def build_attack_config(
     if not partition.left or not partition.right:
         raise ValueError("partition must have non-empty left and right sides")
     left, center, right = partition.left, partition.center, partition.right
-    r = threshold(f, ASYNC)
+    r = _SCHEDULERS["adaptive-delay"][3].threshold(f)
     for side, nodes, cross in (("left", left, center | right), ("right", right, left | center)):
         reached = in_set(g, cross, nodes, r)
         if reached:
@@ -717,22 +719,20 @@ def build_attack_config(
     levels = {**dict.fromkeys(left, float(m)), **dict.fromkeys(right, float(big_m))}
     mid = _midpoint(m, big_m)
     sides = {"left": sorted(left), "center": sorted(center), "right": sorted(right)}
+    split = {"m": m, "M": big_m, "m_minus": m - 1.0, "M_plus": big_m + 1.0,
+             "left": sides["left"], "right": sides["right"]}
     config = SimConfig(
         graph=g,
         f=f,
         fault_set=partition.faulty,
         inputs=tuple(levels.get(v, mid) for v in g.nodes),
         scheduler=SchedulerSpec("adaptive-delay", sides),
-        byzantine=ByzantineSpec(
-            "split",
-            {"m": m, "M": big_m, "m_minus": m - 1.0, "M_plus": big_m + 1.0,
-             "left": sides["left"], "right": sides["right"]},
-        )
-        if partition.faulty
-        else None,
+        byzantine=ByzantineSpec("split", split) if partition.faulty else None,
         max_rounds=max_rounds,
     )
     config.validate()
+    # The levels obey the split behaviour's rules with or without a faulty node.
+    spec_params("split", split, "byzantine behavior", _BEHAVIORS, g.n)
     return config
 
 

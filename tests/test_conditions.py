@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from byztrim.conditions import (
     threshold,
 )
 from byztrim.digraph import Digraph
+from byztrim.harness import all_digraphs, generate_graph
+from byztrim.protocol import ASYNC, MODELS, SYNC, NodeState, compute_alpha
 from conftest import random_digraph
 from oracles import (
     naive_reaches,
@@ -244,6 +247,72 @@ class TestSourceComponentSize:
             assert check_source_component_size(g, f).verdict == naive_source_size_verdict(g, f)
 
 
+class TestTimingModels:
+    """The one record per timing model (protocol.MODELS) against the values
+    the paper's conditions give, and its floors against the condition."""
+
+    # f -> (threshold, in-degree floor, node-count floor, messages awaited
+    # and alpha on K14, whose in-degrees are 13)
+    TABLE = {
+        SYNC: {
+            0: (1, 1, 0, 13, Fraction(1, 14)),
+            1: (2, 3, 3, 13, Fraction(1, 12)),
+            2: (3, 5, 6, 13, Fraction(1, 10)),
+            3: (4, 7, 9, 13, Fraction(1, 8)),
+            4: (5, 9, 12, 13, Fraction(1, 6)),
+        },
+        ASYNC: {
+            0: (1, 1, 0, 13, Fraction(1, 14)),
+            1: (3, 4, 5, 12, Fraction(1, 11)),
+            2: (5, 7, 10, 11, Fraction(1, 8)),
+            3: (7, 10, 15, 10, Fraction(1, 5)),
+            4: (9, 13, 20, 9, Fraction(1, 2)),
+        },
+    }
+
+    @pytest.mark.parametrize("mode", [SYNC, ASYNC])
+    def test_rules_table(self, mode):
+        model, k14 = MODELS[mode], generate_graph("complete", {"n": 14})
+        for f, (r, degree_floor, node_floor, awaited, alpha) in self.TABLE[mode].items():
+            assert threshold(f, mode) == model.threshold(f) == r
+            assert (model.degree_floor(f), model.node_floor(f)) == (degree_floor, node_floor)
+            assert NodeState(0, 0.0, k14, f, model).expected_count == model.awaited(13, f) == awaited
+            assert Fraction(1, model.averaged(13, f)) == alpha
+            if mode == ASYNC:
+                assert compute_alpha(k14, f) == alpha
+
+    @pytest.mark.parametrize("mode", [SYNC, ASYNC])
+    def test_below_a_floor_fails(self, mode):
+        # Every digraph with n <= 4, then seeded random ones with n = 5..8.
+        # With n = 1 there is no second side, so nothing fails.
+        model, rng = MODELS[mode], random.Random(2024)
+        cases = [(g, f) for n in range(1, 5) for g in all_digraphs(n) for f in (1, 2)]
+        cases += [
+            (random_digraph(n, rng.choice([0.5, 0.8, 0.95, 1.0]), rng), f)
+            for n in range(5, 9) for f in (1, 2) for _ in range(25)
+        ]
+        below_count = 0
+        for g, f in cases:
+            report = check_partition_condition(g, f, mode)
+            if g.n == 1:
+                assert report.passed and not report.degree_violations
+                continue
+            min_degree = min(len(g.in_nbrs[v]) for v in g.nodes)
+            below = g.n <= model.node_floor(f) or min_degree < model.degree_floor(f)
+            below_count += below
+            if below:
+                assert report.verdict == "fail", (g.to_dict(), f)
+            if mode == ASYNC:
+                assert bool(report.degree_violations) == below, (g.to_dict(), f)
+        assert 0 < below_count < len(cases)
+
+    def test_lockstep_degree_message(self):
+        # K6 less node 2's in-edges from 3, 4, 5: in lockstep node 2 awaits
+        # both of its in-edges and trims both.
+        g = Digraph(6, [(i, j) for i in range(6) for j in range(6) if i != j and (j != 2 or i < 2)])
+        assert NodeState(2, 0.0, g, 1, MODELS[SYNC]).update_error == "node 2 has in-degree 2 < 2f+1=3"
+
+
 class TestQuickDegreeChecks:
     def test_k5_node_count(self, k5):
         violations = quick_degree_checks(k5, 1)
@@ -257,6 +326,11 @@ class TestQuickDegreeChecks:
 
     def test_k6_clean(self, k6):
         assert quick_degree_checks(k6, 1) == []
+
+    def test_one_node_graph_reports_nothing(self):
+        # Both floors assume a second node; with one there is no violation.
+        assert quick_degree_checks(Digraph(1, []), 1) == []
+        assert "degree_violations" not in check_partition_condition(Digraph(1, []), 1, "async").to_json_dict()
 
     def test_f_zero_never_fires_degree(self):
         g = Digraph(3, [])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from byztrim.conditions import DegreeViolation, quick_degree_checks
 from byztrim.digraph import Digraph
-from byztrim.protocol import NodeState, ProtocolError, RoundMessage, compute_alpha, init_node
+from byztrim.protocol import ASYNC, MODELS, SYNC, NodeState, ProtocolError, RoundMessage, compute_alpha, init_node
 
 
 def star_in(n_senders: int, extra_out: int = 0) -> Digraph:
@@ -298,7 +298,7 @@ class TestValueOnlySort:
     def test_bit_identical_to_pair_sort(self, f, extra, require_all, own, values, order):
         g = star_in(3 * f + 1 + extra)
         senders = [s for s in order if s in g.in_nbrs[0]]
-        fast = NodeState(0, own, g, f, require_all=require_all)
+        fast = NodeState(0, own, g, f, MODELS[SYNC if require_all else ASYNC])
         naive = oracles.NaiveNode(0, own, g, f, require_all)
         for sender, value in zip(senders, values):
             fast.ingest_message(RoundMessage(sender, 0, value))

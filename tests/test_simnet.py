@@ -75,6 +75,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="behavior"):
             cfg.validate()
 
+    @pytest.mark.parametrize("fault_set", [(5,), [5]])
+    def test_fault_set_must_be_a_set(self, fault_set):
+        cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("silent"))
+        dataclasses.replace(cfg, fault_set={5}).validate()
+        with pytest.raises(ValueError, match="fault_set must be a set or frozenset"):
+            dataclasses.replace(cfg, fault_set=fault_set).validate()
+
     def test_json_roundtrip(self):
         cfg = k6_config(fault=frozenset({5}), behavior=ByzantineSpec("random", {"low": -1, "high": 2}))
         again = SimConfig.from_json(cfg.to_json())
@@ -535,6 +542,15 @@ class TestAttack:
         # its JSON, with a NaN token) exists.
         with pytest.raises(ValueError, match=message):
             build_attack_config(k5, 1, self.witness(k5), m, big_m, max_rounds=max_rounds)
+
+    def test_boolean_levels_rejected_without_faulty_nodes(self):
+        # Two disjoint K3s at f=1 violate with F empty; the level rule is the
+        # one a faulty node's split behaviour applies.
+        g = Digraph(6, [(i, j) for side in (range(3), range(3, 6)) for i in side for j in side if i != j])
+        w = Partition(frozenset(), frozenset(range(3)), frozenset(), frozenset(range(3, 6)))
+        assert build_attack_config(g, 1, w, 0.0, 1.0).byzantine is None
+        with pytest.raises(ValueError, match="param 'm' must be a finite number, got False"):
+            build_attack_config(g, 1, w, False, True)
 
     def test_m_below_M_required(self, k5):
         with pytest.raises(ValueError, match="m < M"):
