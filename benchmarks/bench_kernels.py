@@ -6,11 +6,16 @@ The kernel rows time the pruned depth-first partition search and the
 incremental reduced-graph sweep of `byztrim._kernels`, best of `--repeat`
 runs each.
 
-The partition scaling rows run the asynchronous partition check once, at
-its default budget, on complete graphs K12..K24 (f=2 and 3) and K24 (f=4),
-where every node is a twin of every other, and on twin-free random graphs
-with p = 0.9, n = 12..16 (f=2).  Each prints the verdict, the search nodes
-visited (`examined`) and the seconds taken.
+The partition scaling rows run the partition check once, at its default
+budget, asynchronously on complete graphs K12..K24 (f=2 and 3) and K24
+(f=4), where every node is a twin of every other, and on twin-free random
+graphs with p = 0.9, n = 12..16 (f=2).  Five larger rows follow: random
+p = 0.9 graphs with n = 18 (seed 18) and n = 20 (seed 1) at f=2 and
+circulant(20, 5) (node i has in-neighbours i-1, ..., i-5 mod 20) at f=1,
+all asynchronous, then circulant(20, 5) at f=2 and a random n = 30,
+p = 0.3 graph (seed 3) at f=2, both synchronous.  Each prints the
+verdict, the search nodes visited (`examined`: the fault-free screen's
+when the screen decides a pass) and the seconds taken.
 
 The reduction scaling rows run the reduced-graph check and the
 source-size check side by side on K6 and K7 (f=2), at their default
@@ -62,6 +67,7 @@ from byztrim import _kernels, simnet
 from byztrim.protocol import NodeState, RoundMessage
 from byztrim.conditions import (
     ASYNC,
+    SYNC,
     check_partition_condition,
     check_reduced_graph_condition,
     check_source_component_size,
@@ -256,21 +262,35 @@ def simulator_rows(repeat: int) -> list[dict]:
     return rows
 
 
+def circulant(n: int, k: int) -> Digraph:
+    """Node i has in-neighbours i-1, ..., i-k mod n."""
+    return Digraph(n, [((i - d) % n, i) for i in range(n) for d in range(1, k + 1)])
+
+
 def partition_scaling_rows() -> list[dict]:
     graphs = [
-        (f"K{n} f={f}", generate_graph("complete", {"n": n}), f)
+        (f"K{n} f={f}", generate_graph("complete", {"n": n}), f, ASYNC)
         for n in (12, 16, 20, 24)
         for f in (2, 3)
     ]
-    graphs.append(("K24 f=4", generate_graph("complete", {"n": 24}), 4))
+    graphs.append(("K24 f=4", generate_graph("complete", {"n": 24}), 4, ASYNC))
     graphs += [
-        (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2)
+        (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2, ASYNC)
         for n in range(12, 17)
     ]
+    # Past the search over every fault set: the first two pass by the
+    # fault-free screen, the other three fall back to that search.
+    graphs += [
+        ("random n=18 p=0.9 seed 18 f=2", generate_graph("random-uniform", {"n": 18, "p": 0.9}, seed=18), 2, ASYNC),
+        ("random n=20 p=0.9 seed 1 f=2", generate_graph("random-uniform", {"n": 20, "p": 0.9}, seed=1), 2, ASYNC),
+        ("circulant(20, 5) f=1", circulant(20, 5), 1, ASYNC),
+        ("circulant(20, 5) f=2 sync", circulant(20, 5), 2, SYNC),
+        ("random n=30 p=0.3 seed 3 f=2 sync", generate_graph("random-uniform", {"n": 30, "p": 0.3}, seed=3), 2, SYNC),
+    ]
     rows = []
-    for name, g, f in graphs:
+    for name, g, f, mode in graphs:
         start = time.perf_counter()
-        report = check_partition_condition(g, f, ASYNC)
+        report = check_partition_condition(g, f, mode)
         seconds = time.perf_counter() - start
         rows.append({"name": name, "verdict": report.verdict, "examined": report.examined, "seconds": seconds})
     return rows
@@ -341,7 +361,7 @@ def csv_rows(repeat: int) -> list[dict]:
 SECTIONS = {
     "kernels": ("workload", [("seconds", "seconds", 10, ".4f")]),
     "partition_scaling": (
-        "partition check, async",
+        "partition check, async unless named sync",
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
     ),
     "reduction_scaling": (

@@ -1,10 +1,11 @@
 """Condition-check kernels.
 
 These are the hot inner loops of the robustness checks over bitmask
-graphs: the pruned depth-first partition search and the incremental
-reduced-graph sweep.  Both carry a search budget and are cross-checked
-against the naive enumerations in the test oracles.  `source_components`
-names the source components of a failing reduction for its witness.
+graphs: the pruned depth-first partition search, behind an exact
+fault-free screen, and the incremental reduced-graph sweep.  Both carry a
+search budget and are cross-checked against the naive enumerations in the
+test oracles.  `source_components` names the source components of a
+failing reduction for its witness.
 
 Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
 part of the contract:
@@ -99,6 +100,48 @@ def violating_partition(
     no node of L has >= r in-neighbours in C|R and no node of R has >= r
     in-neighbours in L|C.
 
+    For f >= 1 a fault-free screen runs first: the search with F empty at
+    threshold r + f.  It is exact.  If (F, L, C, R) violates at r, then
+    (empty, L, C|F, R) violates at r + f: a node of L or R gains at most
+    |F| <= f in-neighbours outside its side when F joins C.  So when the
+    screen finds no violating partition, none exists at r for any F, and
+    its PASS is the answer.  Otherwise (it fails or exceeds the budget) the
+    search over every fault set runs, with the full budget, and its result
+    is returned unchanged.  For f = 0 the screen is that search, so it runs
+    once.  Every FAIL and BUDGET_EXCEEDED report, and every PASS the
+    screen does not decide, is the one the search without the screen gives.
+    A screen-decided PASS counts the screen's nodes in `examined`; where
+    the search without the screen exceeds the budget, it is a new verdict.
+    The worst case visits 2 * budget nodes.
+
+    Returns (status, examined, witness) with witness = (F, L, C, R)
+    bitmasks on FAIL; see _search.  The out-masks and twin predecessors are
+    computed once for both searches.
+    """
+    out_masks = [0] * n
+    for v in range(n):
+        for u in _bits(in_masks[v]):
+            out_masks[u] |= 1 << v
+    pred = _twin_predecessors(n, in_masks, out_masks)
+    if f:
+        screen = _search(n, in_masks, out_masks, pred, [0], r + f, budget)
+        if screen[0] == PASS:
+            return screen
+    return _search(n, in_masks, out_masks, pred, _fault_masks(n, f, pred), r, budget)
+
+
+def _search(
+    n: int,
+    in_masks: tuple[int, ...],
+    out_masks: list[int],
+    pred: list[int],
+    fault_masks: list[int],
+    r: int,
+    budget: int,
+) -> tuple[str, int, tuple[int, int, int, int] | None]:
+    """First violating partition at threshold r whose fault set is one of
+    `fault_masks`, taken in their order.
+
     Depth-first search: per fault set, the surviving nodes are placed in id
     order, each trying L, C, then R, so complete assignments are reached in
     the canonical base-3 order.  A placement is cut as soon as a placed L
@@ -124,11 +167,6 @@ def violating_partition(
     exceed budget the search stops with BUDGET_EXCEEDED, reporting
     examined == budget + 1.
     """
-    out_masks = [0] * n
-    for v in range(n):
-        for u in _bits(in_masks[v]):
-            out_masks[u] |= 1 << v
-    pred = _twin_predecessors(n, in_masks, out_masks)
 
     def reached(nodes: int, within: int) -> bool:
         # Does some node of `nodes` have >= r in-neighbours in `within`?
@@ -140,7 +178,7 @@ def violating_partition(
         return False
 
     examined = 0
-    for f_mask in _fault_masks(n, f, pred):
+    for f_mask in fault_masks:
         # Per survivor: its bit, in- and out-masks, and the bit of its
         # previous surviving twin (0 if none).
         nodes = [

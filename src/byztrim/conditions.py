@@ -15,8 +15,10 @@ Verdicts come with machine-checkable witnesses.  Both searches are
 exponential in the worst case and bounded by a budget; past it the verdict
 is "budget-exceeded".  The partition search (the README gives its reach)
 cuts a branch as soon as a placed L or R node is reached at the threshold
-and skips what a swap of twin nodes maps to an earlier branch; its
-`examined` counts search nodes.  The reduced-graph search inspects every
+and skips what a swap of twin nodes maps to an earlier branch.  For f >= 1
+a fault-free screen (no fault set, threshold r + f) goes first, and its
+pass decides the check for every fault set; `examined` counts the search
+nodes of whichever search decided.  The reduced-graph search inspects every
 minimal reduction, keeping each node's reachable set up to date with one
 bitmask pass per kept in-edge choice; its `examined` counts reductions.
 """
@@ -219,7 +221,9 @@ def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
     if g.n < 2:
         return []
     found = [("node-count", None, model.node_count_error(g.n, f))]
-    found += [("in-degree", v, model.degree_error(g, v, f)) for v in g.nodes]
+    # Only a node below the floor can have a degree error.
+    floor = model.degree_floor(f)
+    found += [("in-degree", v, model.degree_error(g, v, f)) for v, ins in enumerate(g.in_nbrs) if len(ins) < floor]
     return [DegreeViolation(*row) for row in found if row[2] is not None]
 
 
@@ -232,8 +236,12 @@ def check_partition_condition(
 
     The search skips only branches that cannot hold a violating partition,
     or whose violating partitions a swap of twin nodes maps to an earlier
-    one, so verdict and witness are those of the full enumeration.  `examined`
-    is the number of search nodes visited; once it exceeds `budget` the
+    one, so verdict and witness are those of the full enumeration.  For
+    f >= 1 it is preceded by a fault-free screen at threshold r + f, whose
+    pass is exact (see _kernels.violating_partition); otherwise the search
+    over every fault set reports as it would alone.  `examined` is the
+    number of search nodes visited by the search that decided, each search
+    capped at `budget` (so at most 2 * budget in all); past the cap the
     verdict is "budget-exceeded" with examined == budget + 1.
     """
     int_value(f, "f", 0)

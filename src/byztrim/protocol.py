@@ -31,7 +31,7 @@ class TimingModel:
     """What a timing model asks of the graph and of each update, all from
     one number, the lag: the in-edges a node may go without in a round, 0
     in lockstep (`sync`) and f when delivery is only eventual (`async`,
-    where f silent faulty senders look like slow ones).  lag = lag_per_fault * f.
+    where f silent faulty senders look like slow ones): lag(f) = lag_per_fault * f.
 
     * threshold r = f + 1 + lag (f+1 sync, 2f+1 async);
     * in-degree floor r + f (2f+1, 3f+1) for f >= 1.  A node v below it
@@ -41,7 +41,8 @@ class TimingModel:
     * node-count floor n > f + 2(r - 1) = 3f + 2 lag (3f, 5f).  Else |F| =
       min(f, n - 2) and the n - |F| survivors split into L and R of at most
       r - 1 nodes each.  Both floors need a second survivor: n >= 2;
-    * messages awaited per round = in-degree - lag;
+    * messages awaited per round = in-degree - lag, and the cross-side
+      senders the adaptive-delay attack withholds per side node = lag;
     * values averaged = awaited - 2f + 1 (the kept ones and the own), so
       alpha = 1/(max in-degree - lag - 2f + 1).
     """
@@ -49,8 +50,11 @@ class TimingModel:
     mode: str
     lag_per_fault: int
 
+    def lag(self, f: int) -> int:
+        return self.lag_per_fault * f
+
     def threshold(self, f: int) -> int:
-        return f + 1 + self.lag_per_fault * f
+        return f + 1 + self.lag(f)
 
     def degree_floor(self, f: int) -> int:
         return self.threshold(f) + f
@@ -60,7 +64,7 @@ class TimingModel:
         return f + 2 * (self.threshold(f) - 1)
 
     def awaited(self, degree: int, f: int) -> int:
-        return degree - self.lag_per_fault * f
+        return degree - self.lag(f)
 
     def averaged(self, degree: int, f: int) -> int:
         return self.awaited(degree, f) - 2 * f + 1
@@ -74,7 +78,7 @@ class TimingModel:
         """Why node v cannot run the update on g, or None.  A node with no
         in-neighbour that awaits none (f = 0, or lockstep) keeps its value."""
         degree = len(g.in_nbrs[v])
-        if (degree or self.lag_per_fault * f) and degree < self.degree_floor(f):
+        if (degree or self.lag(f)) and degree < self.degree_floor(f):
             return f"node {v} has in-degree {degree} < {2 + self.lag_per_fault}f+1={self.degree_floor(f)}"
         return None
 

@@ -470,10 +470,12 @@ class SynchronousScheduler(_RoundBlind):
 
 class AdaptiveDelayScheduler:
     """The necessity-proof adversary: for each fault-free node on the left
-    (resp. right) side, the messages from a fixed set of min(f, |cross|)
+    (resp. right) side, the messages from a fixed set of min(lag, |cross|)
     cross-side senders are withheld until the receiver completes the round
-    that could have used them, then released (and discarded as stale).  All
-    delays stay finite.
+    that could have used them, then released (and discarded as stale).  The
+    lag is the number of in-edges a round may go without under the nodes'
+    timing model (f asynchronously; see protocol.TimingModel).  All delays
+    stay finite.
 
     Delivery is the lowest sequence among the messages not withheld.  Each
     pending message is one (sequence, destination, message) tuple, and a
@@ -487,13 +489,13 @@ class AdaptiveDelayScheduler:
     straight to the released heap.  A pop takes the lower of the two heads:
     O(1) from the queue or O(log released) from the heap."""
 
-    def __init__(self, g: Digraph, f: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
+    def __init__(self, g: Digraph, lag: int, left: Iterable[int], center: Iterable[int], right: Iterable[int]):
         left, center, right = set(left), set(center), set(right)
         # withheld sender -> the receivers that withhold it
         self.holders: defaultdict[int, set[int]] = defaultdict(set)
         for side, cross in ((left, center | right), (right, left | center)):
             for v in sorted(side):
-                for sender in sorted(g.in_nbrs[v] & cross)[:f]:
+                for sender in sorted(g.in_nbrs[v] & cross)[:lag]:
                     self.holders[sender].add(v)
         self.held: dict[int, list[tuple[int, tuple[int, int, RoundMessage]]]] = {
             v: [] for receivers in self.holders.values() for v in receivers
@@ -549,7 +551,8 @@ _SCHEDULERS = {
         {"left": NODES, "center": NODES, "right": NODES},
         (),
         lambda config, p: AdaptiveDelayScheduler(
-            config.graph, config.f, p.get("left", ()), p.get("center", ()), p.get("right", ())
+            config.graph, _SCHEDULERS["adaptive-delay"][3].lag(config.f),
+            p.get("left", ()), p.get("center", ()), p.get("right", ()),
         ),
         MODELS[ASYNC],
     ),

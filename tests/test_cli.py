@@ -115,6 +115,18 @@ class TestCheck:
         assert out["verdict"] == "pass"
         assert out["examined"] < 10_000
 
+    def test_random_n20_f2_async_passes(self, tmp_path, capsys):
+        # Decided by the fault-free screen; the search over every fault set
+        # exceeds its 5 M-node budget.
+        path = tmp_path / "n20.json"
+        args = ["gen", "--kind", "random-uniform", "--n", "20", "--p", "0.9", "--seed", "1", "--out", str(path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "--f", "2", "--mode", "async"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "pass"
+        assert out["examined"] < out["budget"]
+
     def test_reduced_graph_oracle(self, k6_file, capsys):
         rc = main(["check", str(k6_file), "--f", "1", "--mode", "sync", "--oracle", "reduced-graph"])
         out = json.loads(capsys.readouterr().out)

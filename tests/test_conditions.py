@@ -275,6 +275,7 @@ class TestTimingModels:
         model, k14 = MODELS[mode], generate_graph("complete", {"n": 14})
         for f, (r, degree_floor, node_floor, awaited, alpha) in self.TABLE[mode].items():
             assert threshold(f, mode) == model.threshold(f) == r
+            assert model.lag(f) == r - f - 1
             assert (model.degree_floor(f), model.node_floor(f)) == (degree_floor, node_floor)
             assert NodeState(0, 0.0, k14, f, model).expected_count == model.awaited(13, f) == awaited
             assert Fraction(1, model.averaged(13, f)) == alpha

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from byztrim import _kernels
 from byztrim.conditions import DEFAULT_PARTITION_BUDGET, check_partition_condition, threshold
 from byztrim.digraph import Digraph
+from byztrim.harness import generate_graph
 from conftest import TWIN_RICH_FAMILIES, complete, random_digraph
 from oracles import (
     all_fault_masks,
@@ -162,6 +163,131 @@ class TestTwinCut:
         assert report.verdict == "pass"
         assert report.budget == DEFAULT_PARTITION_BUDGET
         assert report.examined < 10_000
+
+
+def search_parts(n: int, in_masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The out-masks and twin predecessors that _kernels._search takes."""
+    out_masks = [sum(1 << v for v in range(n) if in_masks[v] >> u & 1) for u in range(n)]
+    return out_masks, _kernels._twin_predecessors(n, in_masks, out_masks)
+
+
+def unscreened(n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int):
+    """The kernel's search over every fault set, without the screen."""
+    out_masks, pred = search_parts(n, in_masks)
+    return _kernels._search(n, in_masks, out_masks, pred, _kernels._fault_masks(n, f, pred), r, budget)
+
+
+def screen(n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int):
+    """The fault-free screen alone: the search with F empty at r + f."""
+    out_masks, pred = search_parts(n, in_masks)
+    return _kernels._search(n, in_masks, out_masks, pred, [0], r + f, budget)
+
+
+@st.composite
+def screen_case(draw, sizes):
+    """(graph, f, mode) with the graph dense random, where the screen
+    passes often, or from a twin-rich family."""
+    n = draw(sizes)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = random_digraph(n, draw(st.sampled_from([0.5, 0.7, 0.85, 0.95, 1.0])), rng)
+    else:
+        g = draw(st.sampled_from(TWIN_RICH_FAMILIES))(n, rng)
+    return g, draw(st.integers(0, 2)), draw(st.sampled_from(["sync", "async"]))
+
+
+class TestFaultFreeScreen:
+    """For f >= 1 the kernel first searches F = {} at threshold r + f.  A
+    pass there is the answer; any other result gives way to the search over
+    every fault set, returned unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_case(st.integers(2, 7)))
+    def test_matches_naive_oracle(self, case):
+        g, f, mode = case
+        report = check_partition_condition(g, f, mode)
+        expect = naive_violating_partition(g, f, threshold(f, mode))
+        assert report.verdict == ("pass" if expect is None else "fail")
+        assert report.witness == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(screen_case(st.integers(8, 9)))
+    def test_matches_reference_search(self, case):
+        g, f, mode = case
+        args = (g.n, g.in_masks(), f, threshold(f, mode), 10**9)
+        status, _, witness = _kernels.violating_partition(*args)
+        ref_status, _, ref_witness = reference_violating_partition(*args)
+        assert (status, witness) == (ref_status, ref_witness)
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_case(st.integers(2, 9)), st.sampled_from([0, 1, 10, 100, 10**9]))
+    def test_only_screen_passes_differ(self, case, budget):
+        g, f, mode = case
+        args = (g.n, g.in_masks(), f, threshold(f, mode), budget)
+        got = _kernels.violating_partition(*args)
+        screened = screen(*args)
+        if f and screened[0] == _kernels.PASS:
+            assert got == screened
+        else:
+            assert got == unscreened(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(screen_case(st.integers(2, 9)))
+    def test_no_fault_is_the_unscreened_search(self, case):
+        g, _, mode = case
+        args = (g.n, g.in_masks(), 0, threshold(0, mode), 10**9)
+        assert _kernels.violating_partition(*args) == unscreened(*args)
+
+    # (generate_graph kind, params, seed, f, mode, (status, examined,
+    # witness) of the search before the screen was added).  K6 and K12 pass
+    # after a failed screen; K7's screen decides, in fewer nodes.
+    PARENT_REPORTS = [
+        ("counterexample-k5", {}, 0, 1, "async", ("fail", 47, (1, 6, 0, 24))),
+        ("complete", {"n": 9}, 0, 2, "async", ("fail", 146, (1, 30, 0, 480))),
+        ("complete", {"n": 10}, 0, 2, "async", ("fail", 266, (3, 60, 0, 960))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 1, 2, "sync", ("fail", 10370, (5, 506, 0, 512))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 9, 1, "async", ("fail", 4549, (32, 65, 0, 926))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 14, 2, "sync", ("fail", 21158, (66, 685, 0, 272))),
+        ("complete", {"n": 6}, 0, 1, "async", ("pass", 74, None)),
+        ("complete", {"n": 12}, 0, 2, "async", ("pass", 396, None)),
+        ("complete", {"n": 7}, 0, 1, "async", ("pass", 90, None)),
+    ]
+
+    @pytest.mark.parametrize("kind, params, seed, f, mode, parent", PARENT_REPORTS)
+    def test_reports_match_the_parent(self, kind, params, seed, f, mode, parent):
+        g = generate_graph(kind, params, seed)
+        args = (g.n, g.in_masks(), f, threshold(f, mode), 10**9)
+        assert unscreened(*args) == parent
+        got = _kernels.violating_partition(*args)
+        if screen(*args)[0] == _kernels.PASS:
+            assert got[0] == parent[0] == _kernels.PASS
+            assert got[1] < parent[1]
+        else:
+            assert got == parent
+
+    def test_decided_instances_stay_decided(self):
+        # With the budget set to what the search without the screen needs,
+        # the screen may run out, but the search after it still decides.
+        rng = random.Random(23)
+        exceeded = 0
+        for _ in range(150):
+            n = rng.randrange(6, 11)
+            masks = random_masks(rng, n, rng.choice([0.6, 0.8, 0.9, 1.0]))
+            f = rng.randrange(1, 3)
+            r = rng.choice([f + 1, 2 * f + 1])
+            status, examined, witness = unscreened(n, masks, f, r, 10**9)
+            got = _kernels.violating_partition(n, masks, f, r, examined)
+            assert got[0] == status and got[2] == witness
+            assert got[1] <= examined
+            exceeded += screen(n, masks, f, r, examined)[0] == _kernels.BUDGET_EXCEEDED
+        assert exceeded  # some screens ran out before the search decided
+
+    def test_random_n20_passes_by_the_screen(self):
+        # Without the screen this exceeds the default budget.
+        g = generate_graph("random-uniform", {"n": 20, "p": 0.9}, seed=1)
+        report = check_partition_condition(g, 2, "async")
+        assert (report.verdict, report.examined) == ("pass", 362_717)
+        assert report.examined == screen(g.n, g.in_masks(), 2, 5, DEFAULT_PARTITION_BUDGET)[1]
 
 
 class TestFaultMasks:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from byztrim import simnet
 from byztrim._inputs import FLOAT_MAX
 from byztrim.conditions import Partition, check_partition_condition
 from byztrim.digraph import Digraph
@@ -464,6 +465,20 @@ class TestAttack:
         assert cfg.byzantine.params["m_minus"] == -1.0
         assert cfg.byzantine.params["M_plus"] == 2.0
         assert cfg.scheduler.kind == "adaptive-delay"
+
+    @pytest.mark.parametrize("n, f", [(5, 1), (10, 2)])
+    def test_pool_withholds_the_models_lag(self, n, f):
+        # The adaptive-delay row builds its pool with the lag of its timing
+        # model (f asynchronously): min(lag, |cross|) senders per side node.
+        g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        w = self.witness(g, f)
+        cfg = build_attack_config(g, f, w, 0.0, 1.0, max_rounds=20)
+        _, _, make_pool, model = simnet._SCHEDULERS["adaptive-delay"]
+        pool = make_pool(cfg, cfg.validate()[0])
+        held = {v: frozenset(s for s, vs in pool.holders.items() if v in vs) for v in w.left | w.right}
+        assert model.lag(f) == f
+        assert held == oracles.naive_withheld(g, model.lag(f), w.left, w.center, w.right)
+        assert not AdaptiveDelayScheduler(g, 0, w.left, w.center, w.right).holders
 
     def test_stasis_is_exact(self, k5):
         w = self.witness(k5)
