@@ -5,7 +5,9 @@ graphs: the pruned depth-first partition search, behind an exact
 fault-free screen, and the incremental reduced-graph sweep.  Both carry a
 search budget and are cross-checked against the naive enumerations in the
 test oracles.  `source_components` names the source components of a
-failing reduction for its witness.
+failing reduction for its witness.  Each cut is stated where it is made:
+the screen in violating_partition, the reach, mirror and twin cuts in
+_search, the leaf-batch scoring in failing_reduction.
 
 Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
 part of the contract:
@@ -13,13 +15,8 @@ part of the contract:
 * fault sets F by increasing size, then lexicographic on the sorted tuple;
 * L/C/R assignments in the order of base-3 counters over the surviving
   nodes in node order (most significant digit = smallest node id; digit
-  0=L, 1=C, 2=R), so the first violating partition is the canonical one;
-* within each twin class (nodes any two of which can be swapped without
-  changing the graph) the partition search visits only fault sets that are
-  a prefix of the class, and only digits that never decrease in node order
-  over the class's survivors.  The canonical first violating partition has
-  both properties, since a swap would otherwise give an earlier one, so
-  the rule changes what is visited, never what is found;
+  0=L, 1=C, 2=R), so the first violating partition is the canonical one
+  (each cut skips only partitions with an equally violating one earlier);
 * per-node in-edge removals in lexicographic combination order, with the
   last surviving node varying fastest.
 """
@@ -100,19 +97,18 @@ def violating_partition(
     no node of L has >= r in-neighbours in C|R and no node of R has >= r
     in-neighbours in L|C.
 
-    For f >= 1 a fault-free screen runs first: the search with F empty at
-    threshold r + f.  It is exact.  If (F, L, C, R) violates at r, then
-    (empty, L, C|F, R) violates at r + f: a node of L or R gains at most
-    |F| <= f in-neighbours outside its side when F joins C.  So when the
-    screen finds no violating partition, none exists at r for any F, and
-    its PASS is the answer.  Otherwise (it fails or exceeds the budget) the
-    search over every fault set runs, with the full budget, and its result
-    is returned unchanged.  For f = 0 the screen is that search, so it runs
-    once.  Every FAIL and BUDGET_EXCEEDED report, and every PASS the
-    screen does not decide, is the one the search without the screen gives.
-    A screen-decided PASS counts the screen's nodes in `examined`; where
-    the search without the screen exceeds the budget, it is a new verdict.
-    The worst case visits 2 * budget nodes.
+    For f >= 1 a fault-free screen, the search with F empty at threshold
+    r + f, runs first when every node has in-degree >= r + f.  It is exact:
+    if (F, L, C, R) violates at r, then (empty, L, C|F, R) violates at
+    r + f, since a node of L or R gains at most |F| <= f in-neighbours
+    outside its side when F joins C.  So the screen's PASS is the answer.
+    Below the floor it cannot pass, since (empty, {v}, empty, V - {v})
+    violates at r + f >= 2 for a node v under it.  Otherwise (skipped,
+    failed or over the budget) the search over every fault set runs, with
+    the full budget, and its report is returned unchanged; for f = 0 that
+    search is the screen.  A screen-decided PASS counts the screen's nodes
+    in `examined`, and where the search without the screen exceeds the
+    budget it is a new verdict.  The worst case visits 2 * budget nodes.
 
     Returns (status, examined, witness) with witness = (F, L, C, R)
     bitmasks on FAIL; see _search.  The out-masks and twin predecessors are
@@ -123,7 +119,7 @@ def violating_partition(
         for u in _bits(in_masks[v]):
             out_masks[u] |= 1 << v
     pred = _twin_predecessors(n, in_masks, out_masks)
-    if f:
+    if f and all(ins.bit_count() >= r + f for ins in in_masks):
         screen = _search(n, in_masks, out_masks, pred, [0], r + f, budget)
         if screen[0] == PASS:
             return screen
@@ -144,22 +140,28 @@ def _search(
 
     Depth-first search: per fault set, the surviving nodes are placed in id
     order, each trying L, C, then R, so complete assignments are reached in
-    the canonical base-3 order.  A placement is cut as soon as a placed L
-    node has r placed in-neighbours in C|R, or a placed R node has r placed
-    in-neighbours in L|C: counts only grow as nodes are placed, so no
-    violating partition lies below.  An R placement while L is still empty
-    is cut too: the L/R mirror of any partition below it violates equally
-    and comes first in canonical order.
+    the canonical base-3 order.  Three cuts prune it.
 
-    Twin classes (see _twin_predecessors) cut the rest.  A swap of twins
-    maps a violating partition to one that violates equally, with the same
-    |F|.  So the search visits only fault sets that are a prefix of each
-    twin class (for any other the swap gives an earlier one; _fault_masks
-    builds just these), and within each class's survivors it places digits
-    that never decrease in node order: a node skips L after a twin placed
-    in C and goes to R after a twin placed in R.  No cut can skip the
-    first violating partition, since each removes only partitions with an
-    equally violating partition earlier.
+    Reach: no violating partition lies below a placed L node with r placed
+    in-neighbours in C|R, or a placed R node with r in L|C, since counts
+    only grow.  Placing v can newly reach only v and the placed L and R
+    nodes it feeds, so each placement runs two tests, one per side (as in
+    the r-reachable sets of LeBlanc, Zhang, Koutsoukos and Sundaram, IEEE
+    JSAC 2013): v's L out-neighbours against C|R|v and its R out-neighbours
+    against L|C|v.  The R and C pushes read the L test, the C and L pushes
+    the R test (so it is skipped when v must go to R), and the R and L
+    pushes v's own in-count.
+
+    Mirror: an R placement while L is still empty is cut, since the L/R
+    mirror of any partition below it violates equally and comes first.
+
+    Twins (see _twin_predecessors): a swap of twins maps a violating
+    partition to one that violates equally, with the same |F|.  So the
+    search visits only fault sets that are a prefix of each twin class
+    (for any other the swap gives an earlier one; _fault_masks builds just
+    these), and within each class's survivors it places digits that never
+    decrease in node order: a node skips L after a twin placed in C and
+    goes to R after a twin placed in R.
 
     Every placement tried is one examined search node; expanding a node
     tries all its placements at once.  Returns (status, examined, witness)
@@ -190,8 +192,7 @@ def _search(
         if last < 2:
             continue
         # Entries (next index, L, C, R); children are pushed R, C, L so that
-        # L is expanded first.  After placing v only v itself and the placed
-        # L/R nodes it feeds can newly reach r.
+        # L is expanded first.
         stack = [(0, 0, 0, 0)]
         while stack:
             i, lm, cm, rm = stack.pop()
@@ -208,15 +209,13 @@ def _search(
             examined += (3 if lm else 2) - low
             if examined > budget:
                 return (BUDGET_EXCEEDED, budget + 1, None)
-            if lm and (ins & (lm | cm)).bit_count() < r and not reached(outs & lm, cm | rm | bit):
+            l_hit = reached(outs & lm, cm | rm | bit)
+            r_hit = low < 2 and reached(outs & rm, lm | cm | bit)
+            if lm and not l_hit and (ins & (lm | cm)).bit_count() < r:
                 stack.append((i, lm, cm, rm | bit))
-            if (
-                low < 2
-                and not reached(outs & lm, cm | rm | bit)
-                and not reached(outs & rm, lm | cm | bit)
-            ):
+            if low < 2 and not (l_hit or r_hit):
                 stack.append((i, lm, cm | bit, rm))
-            if not low and (ins & (cm | rm)).bit_count() < r and not reached(outs & rm, lm | cm | bit):
+            if not low and not r_hit and (ins & (cm | rm)).bit_count() < r:
                 stack.append((i, lm | bit, cm, rm))
     return (PASS, examined, None)
 
@@ -254,12 +253,14 @@ def failing_reduction(
     the last survivor z, the nodes that can become roots are fixed, so the
     leaves (one per kept in-set of z) are scored without walking the graph.
 
-    Counting alone can decide a leaf batch.  When z reaches every
-    survivor, z is a root, and so is each node of z's kept in-set, since it
-    reaches z.  Every kept in-set of z has |in(z) - F| - min(f, |in(z) - F|)
-    nodes, one count per fault set, so each leaf of the batch has at least
-    1 + that many roots; when this reaches min_source_size no leaf fails,
-    and the batch is counted without scoring its leaves.
+    One loop scores a leaf batch for every min_source_size.  A node x != z
+    is a root iff it reaches every survivor outside desc[z] (a candidate)
+    and some node of z's kept in-set; z is one iff it reaches every
+    survivor, leaving `need` roots to find.  A kept in-set that meets no candidate's reach
+    fails; roots are counted only when need > 1.  When z reaches every
+    survivor, each of the |in(z) - F| - min(f, |in(z) - F|) nodes of its
+    kept in-set is a root, so when that covers `need` no leaf fails and the
+    batch is counted without scoring its leaves.
 
     Every leaf is one examined reduction, skipped or scored, so examined,
     the budget and the first failing reduction do not depend on the
@@ -300,28 +301,19 @@ def failing_reduction(
                         (i + 1, [d | dv if d & kept else d for d in desc], (kept, chosen))
                     )
                 continue
-            # Leaves: x != z becomes a root iff it reaches every survivor
-            # outside desc[z] and reaches z's kept in-set.  When z reaches
-            # every survivor, z and each node of its kept in-set are roots,
-            # so no leaf fails unless need > kept_z.
+            # Leaves: roots besides z still needed.
             dz = desc[last]
             need = min_source_size - (dz == full)
             hit = None
             if need > (kept_z if dz == full else 0):
                 cand = [d for d in desc[:last] if d | dz == full]
-                if need == 1:
-                    reach = 0
-                    for d in cand:
-                        reach |= d
-                    for j, kept in enumerate(last_options):
-                        if not kept & reach:
-                            hit = j
-                            break
-                else:
-                    for j, kept in enumerate(last_options):
-                        if sum(1 for d in cand if d & kept) < need:
-                            hit = j
-                            break
+                reach = 0
+                for d in cand:
+                    reach |= d
+                for j, kept in enumerate(last_options):
+                    if not kept & reach or need > 1 and sum(1 for d in cand if d & kept) < need:
+                        hit = j
+                        break
             leaves = len(last_options) if hit is None else hit + 1
             if examined + leaves > budget:
                 return (BUDGET_EXCEEDED, budget + 1, None)

@@ -13,14 +13,11 @@ against f Byzantine nodes, in two equivalent forms:
 
 Verdicts come with machine-checkable witnesses.  Both searches are
 exponential in the worst case and bounded by a budget; past it the verdict
-is "budget-exceeded".  The partition search (the README gives its reach)
-cuts a branch as soon as a placed L or R node is reached at the threshold
-and skips what a swap of twin nodes maps to an earlier branch.  For f >= 1
-a fault-free screen (no fault set, threshold r + f) goes first, and its
-pass decides the check for every fault set; `examined` counts the search
-nodes of whichever search decided.  The reduced-graph search inspects every
-minimal reduction, keeping each node's reachable set up to date with one
-bitmask pass per kept in-edge choice; its `examined` counts reductions.
+is "budget-exceeded".  Both run in byztrim._kernels, whose docstrings
+state each cut once, the partition search's fault-free screen among them;
+the README gives their reach.  A partition report's `examined` counts the
+search nodes of the search that decided it, a reduced-graph report's the
+minimal reductions inspected.
 """
 
 from __future__ import annotations
@@ -163,8 +160,7 @@ def _check_reach_args(g: Digraph, a: Iterable[int], b: Iterable[int], r: int):
 
 def reaches(g: Digraph, a: Iterable[int], b: Iterable[int], r: int) -> bool:
     """True iff some node of b has at least r in-neighbours in a."""
-    sa, sb = _check_reach_args(g, a, b, r)
-    return any(len(g.in_nbrs[v] & sa) >= r for v in sb)
+    return bool(in_set(g, a, b, r))
 
 
 def in_set(g: Digraph, a: Iterable[int], b: Iterable[int], r: int) -> frozenset[int]:
@@ -234,15 +230,11 @@ def check_partition_condition(
     fail (with the first violating partition in canonical order) if some
     partition starves both L and R at the mode's threshold.
 
-    The search skips only branches that cannot hold a violating partition,
-    or whose violating partitions a swap of twin nodes maps to an earlier
-    one, so verdict and witness are those of the full enumeration.  For
-    f >= 1 it is preceded by a fault-free screen at threshold r + f, whose
-    pass is exact (see _kernels.violating_partition); otherwise the search
-    over every fault set reports as it would alone.  `examined` is the
-    number of search nodes visited by the search that decided, each search
-    capped at `budget` (so at most 2 * budget in all); past the cap the
-    verdict is "budget-exceeded" with examined == budget + 1.
+    Verdict and witness are those of the full enumeration; the cuts and
+    the fault-free screen that keep them are in _kernels.violating_partition.
+    `examined` is the number of search nodes visited by the search that
+    decided, each search capped at `budget` (so at most 2 * budget in all);
+    past the cap the verdict is "budget-exceeded" with examined == budget + 1.
     """
     int_value(f, "f", 0)
     r = threshold(f, mode)

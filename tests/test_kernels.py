@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -265,6 +266,73 @@ class TestFaultFreeScreen:
         else:
             assert got == parent
 
+    @pytest.mark.parametrize(
+        "graph, f, thresholds",
+        [
+            # Every in-degree is 1 < r + f = 4: no screen.
+            (generate_graph("cycle", {"n": 6}), 1, [3]),
+            # In-degree 5 >= 4: K6's screen runs and fails, K7's passes.
+            (complete(6), 1, [4, 3]),
+            (complete(7), 1, [4]),
+            # f = 0: the one search is the screen, failing on two
+            # disjoint K3s as well as passing on K6.
+            (complete(6), 0, [1]),
+            (Digraph(6, [(u, v) for u in range(6) for v in range(6) if u != v and u // 3 == v // 3]), 0, [1]),
+        ],
+        ids=["cycle6-f1", "K6-f1", "K7-f1", "K6-f0", "two-K3-f0"],
+    )
+    def test_searches_run(self, monkeypatch, graph, f, thresholds):
+        calls = self.count_searches(monkeypatch)
+        args = (graph.n, graph.in_masks(), f, threshold(f, "async"), 10**9)
+        got = _kernels.violating_partition(*args)
+        assert calls == thresholds
+        if len(calls) == 1 and f:
+            assert got == screen(*args)
+        else:
+            assert got == unscreened(*args)
+
+    def test_screen_runs_only_above_the_in_degree_floor(self, monkeypatch):
+        # Below the floor the screen must fail, so it is skipped and the
+        # search over every fault set gives the report.
+        calls = self.count_searches(monkeypatch)
+        rng = random.Random(24)
+        seen = {"below": 0, "screen passed": 0, "screen failed": 0}
+        for _ in range(300):
+            n = rng.randrange(2, 9)
+            masks = random_masks(rng, n, rng.choice([0.3, 0.6, 0.8, 1.0]))
+            f = rng.randrange(0, 3)
+            r = rng.choice([f + 1, 2 * f + 1])
+            calls.clear()
+            got = _kernels.violating_partition(n, masks, f, r, 10**9)
+            searches = list(calls)
+            if f and min(m.bit_count() for m in masks) >= r + f:
+                if searches == [r + f]:
+                    seen["screen passed"] += 1
+                    assert got[0] == _kernels.PASS
+                    continue
+                seen["screen failed"] += 1
+                assert searches == [r + f, r]
+            else:
+                assert searches == [r]
+                if f:
+                    seen["below"] += 1
+                    assert screen(n, masks, f, r, 10**9)[0] == _kernels.FAIL
+            assert got == unscreened(n, masks, f, r, 10**9)
+        assert all(seen.values()), seen
+
+    @staticmethod
+    def count_searches(monkeypatch) -> list[int]:
+        """Patch _kernels._search to record the threshold of each call."""
+        search = _kernels._search
+        calls: list[int] = []
+
+        def counted(*args):
+            calls.append(args[5])
+            return search(*args)
+
+        monkeypatch.setattr(_kernels, "_search", counted)
+        return calls
+
     def test_decided_instances_stay_decided(self):
         # With the budget set to what the search without the screen needs,
         # the screen may run out, but the search after it still decides.
@@ -288,6 +356,46 @@ class TestFaultFreeScreen:
         report = check_partition_condition(g, 2, "async")
         assert (report.verdict, report.examined) == ("pass", 362_717)
         assert report.examined == screen(g.n, g.in_masks(), 2, 5, DEFAULT_PARTITION_BUDGET)[1]
+
+
+class TestGoldenReports:
+    """SHA-256 of the kernels' (status, examined, witness) reports over
+    fixed seeded pools of random graphs, so that any change to a report,
+    `examined` included, shows across commits.  A kernel change that
+    alters reports on purpose re-pins them and says which reports moved."""
+
+    PARTITION = "2141eddd0d655959a67ffdc3bd141a5351ccfcde02acd8922d98b5b36c91a4f4"
+    REDUCTION = "cefda418e04a831ef88923e55bdf6657ce5d4ed6bc5ecb439216513e44eb4917"
+
+    @staticmethod
+    def digest(reports: list) -> str:
+        return hashlib.sha256(repr(reports).encode()).hexdigest()
+
+    def test_partition_reports(self):
+        # 240 searches: n = 6..10, four densities, f = 1, 2, thresholds
+        # f + 1 and 2f + 1, three graphs each.
+        rng = random.Random(2024)
+        reports = [
+            _kernels.violating_partition(n, random_masks(rng, n, p), f, f + 1 if sync else 2 * f + 1, 10**9)
+            for n, p, f, sync, _ in itertools.product(
+                range(6, 11), (0.5, 0.7, 0.85, 0.95), (1, 2), (True, False), range(3)
+            )
+        ]
+        assert sum(status == _kernels.FAIL for status, _, _ in reports) == 160
+        assert self.digest(reports) == self.PARTITION
+
+    def test_reduction_reports(self):
+        # 144 sweeps: n = 4..6, four densities, f = 1, 2, min_source_size
+        # 1 and f + 1, three graphs each.
+        rng = random.Random(2025)
+        reports = [
+            _kernels.failing_reduction(n, random_masks(rng, n, p), f, f + 1 if by_size else 1, 10**9)
+            for n, p, f, by_size, _ in itertools.product(
+                range(4, 7), (0.5, 0.7, 0.85, 0.95), (1, 2), (False, True), range(3)
+            )
+        ]
+        assert sum(status == _kernels.FAIL for status, _, _ in reports) == 114
+        assert self.digest(reports) == self.REDUCTION
 
 
 class TestFaultMasks:
@@ -318,17 +426,15 @@ class TestReductionSweep:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 6).flatmap(
-            lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1)) - 1))
+            lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1)) - 1), st.integers(1, n))
         ),
         st.integers(0, 2),
-        st.booleans(),
         st.integers(0, 300),
     )
-    def test_status_examined_and_witness_match_literal_sweep(self, graph, f, by_size, budget):
-        n, bits = graph
+    def test_status_examined_and_witness_match_literal_sweep(self, graph, f, budget):
+        n, bits, mss = graph
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         g = Digraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
-        mss = f + 1 if by_size else 1
         status, examined, witness = _kernels.failing_reduction(n, g.in_masks(), f, mss, budget)
         expect_status, expect_examined, expect_witness = naive_failing_reduction(g, f, mss, budget)
         assert (status, examined) == (expect_status, expect_examined)
