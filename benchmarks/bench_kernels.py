@@ -41,8 +41,10 @@ the timed loop.
 The CSV rows time one call of each trace-file function on an existing
 file: `write_trace_csv` and `write_metrics_csv` rewriting the file they
 wrote before (as every `run` and `attack` into the same path does), and
-`read_trace_csv`.  Inputs are the trace of a 30-round K8 `random` run,
-about the size of one `run`, and a synthetic 15-node, 2,000-round trace.
+`read_trace_csv`, on that file and on a copy with every cell quoted, the
+columns reordered and an extra column.  Inputs are the trace of a 30-round
+K8 `random` run, about the size of one `run`, and a synthetic 15-node,
+2,000-round trace.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json]
 
@@ -53,6 +55,7 @@ objects per section, instead of as text tables.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -321,7 +324,7 @@ def csv_traces() -> list[tuple[str, simnet.Trace]]:
     rng = random.Random(15)
     values = {v: [rng.random() for _ in range(2_000)] for v in range(15)}
     levels = [max(vs[t] for vs in values.values()) for t in range(2_000)]
-    synthetic = simnet.Trace(config, values, levels, [0.0] * 2_000, [], "max-rounds-hit", None)
+    synthetic = simnet.Trace(config, values, levels, [0.0] * 2_000, simnet.DeliveryLog([], []), "max-rounds-hit", None)
     return [("K8 run", simnet.run_simulation(config)), ("synthetic 15x2000", synthetic)]
 
 
@@ -339,21 +342,34 @@ def per_call(fn, repeat: int, cover: float = 0.1) -> float:
     return best_time(sample, repeat) / runs
 
 
+def quoted_copy(path: str, copy: str) -> None:
+    """Write the trace CSV at `path` to `copy` with every cell quoted, the
+    columns in the order value, extra, nodeId, round, and an empty extra
+    column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(copy, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["value", "extra", "nodeId", "round"])
+        writer.writerows([value, "", node, t] for t, node, value in rows[1:])
+
+
 def csv_rows(repeat: int) -> list[dict]:
     rows = []
+
+    def row(name: str, path: str, call) -> None:
+        call()  # a rewrite now finds the file it writes
+        rows.append({"name": name, "bytes": os.path.getsize(path), "ms_per_call": per_call(call, repeat) * 1e3})
+
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.csv")
+        path, copy = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "quoted.csv")
         for label, trace in csv_traces():
-            for name, call in (
-                ("write_trace_csv, rewrite", functools.partial(simnet.write_trace_csv, trace, path)),
-                ("write_metrics_csv, rewrite", functools.partial(simnet.write_metrics_csv, trace, path)),
-                ("read_trace_csv", functools.partial(simnet.read_trace_csv, path)),
-            ):
-                if name == "read_trace_csv":
-                    simnet.write_trace_csv(trace, path)
-                call()  # a rewrite now finds the file it writes
-                seconds = per_call(call, repeat)
-                rows.append({"name": f"{name}, {label}", "bytes": os.path.getsize(path), "ms_per_call": seconds * 1e3})
+            row(f"write_trace_csv, rewrite, {label}", path, functools.partial(simnet.write_trace_csv, trace, path))
+            row(f"write_metrics_csv, rewrite, {label}", path, functools.partial(simnet.write_metrics_csv, trace, path))
+            simnet.write_trace_csv(trace, path)
+            row(f"read_trace_csv, {label}", path, functools.partial(simnet.read_trace_csv, path))
+            quoted_copy(path, copy)
+            row(f"read_trace_csv, {label}, quoted", copy, functools.partial(simnet.read_trace_csv, copy))
     return rows
 
 

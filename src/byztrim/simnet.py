@@ -15,7 +15,6 @@ import io
 import json
 import random
 from collections import defaultdict, deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from itertools import groupby, repeat
@@ -182,14 +181,13 @@ class Delivery(NamedTuple):
 _new = tuple.__new__
 
 
-class DeliveryLog(Sequence):
+class DeliveryLog:
     """A run's deliveries, read-only, kept as two columns in pop order: the
     receivers and the messages, each message the RoundMessage object its
-    sender pushed (shared by every destination that got it).  Delivery k
-    (virtual time k + 1) is built from the k-th receiver and message only
-    when it is read, so `len` builds nothing.  Indexes (negative ones and
-    slices too), iteration, `==` against a list or another log, and `repr`
-    give what a list of Delivery records gives."""
+    sender pushed (shared by every destination that got it).  `len` builds
+    nothing; iteration builds delivery k (virtual time k + 1) from the k-th
+    receiver and message.  `list(log)` gives the list of Delivery records,
+    with its indexes, slices, `==` and `repr`."""
 
     __slots__ = ("_receivers", "_messages")
 
@@ -200,42 +198,22 @@ class DeliveryLog(Sequence):
     def __len__(self) -> int:
         return len(self._receivers)
 
-    def _record(self, k: int) -> Delivery:
-        sender, tag, value = self._messages[k]
-        return _new(Delivery, (k + 1, sender, self._receivers[k], tag, value))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(k) for k in range(*index.indices(len(self._receivers)))]
-        return self._record(range(len(self._receivers))[index])  # a negative or out-of-range index as a list reads it
-
     def __iter__(self):
         for vt, (dest, (sender, tag, value)) in enumerate(zip(self._receivers, self._messages), 1):
             yield _new(Delivery, (vt, sender, dest, tag, value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (DeliveryLog, list)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 @dataclass
 class Trace:
     """Round-indexed value history of the fault-free nodes plus the full
     delivery log.  u_levels/mu_levels cover rounds every fault-free node has
-    completed (the "common" rounds).  `deliveries` is a DeliveryLog in a
-    run's trace; a list of Delivery records reads the same."""
+    completed (the "common" rounds)."""
 
     config: SimConfig
     values: dict[int, list[float]]
     u_levels: list[float]
     mu_levels: list[float]
-    deliveries: Sequence[Delivery]
+    deliveries: DeliveryLog
     outcome: str  # "converged" | "max-rounds-hit"
     converged_round: int | None
 
@@ -797,15 +775,6 @@ def write_metrics_csv(trace: Trace, path: str) -> None:
         fh.write("".join(rows))
 
 
-# int() and float() accept digit-group underscores, surrounding whitespace
-# and non-ASCII digits, and int() a sign; a trace CSV cell holds none of
-# these.  Every round and nodeId cell must pass isdigit(), which admits
-# exactly 0-9 in ASCII text; only a file with one of these marks, a quote
-# (a quoted cell can hold a line break) or non-ASCII text needs each cell
-# checked in full.
-_LAX_MARKS = '_ \t\v\f"'
-
-
 def _int_cell(cell: str) -> int:
     """A round or nodeId cell: ASCII digits only."""
     if not (cell.isascii() and cell.isdigit()):
@@ -845,9 +814,8 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
     raises ValueError; blank lines are skipped."""
     values: defaultdict[int, dict[int, float]] = defaultdict(dict)
     with open(path, newline="") as fh:
-        text = fh.read()
-        lax = not text.isascii() or any(mark in text for mark in _LAX_MARKS)
-        reader = csv.reader(io.StringIO(text, newline=""))
+        # Read whole, so a byte that does not decode is reported at its offset in the file.
+        reader = csv.reader(io.StringIO(fh.read(), newline=""))
         header = next(reader, [])
         missing = [name for name in ("round", "nodeId", "value") if name not in header]
         if missing:
@@ -857,14 +825,9 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
         for row in filter(None, reader):
             if len(row) < width:
                 raise ValueError(f"trace CSV line {reader.line_num} has {len(row)} field(s), need {width}")
-            round_cell, node_cell, value_cell = row[at_round], row[at_node], row[at_value]
+            value_cell = row[at_value]
             try:
-                if lax:
-                    node, t, value = _int_cell(node_cell), _int_cell(round_cell), _real_cell(value_cell)
-                elif round_cell.isdigit() and node_cell.isdigit():
-                    node, t, value = int(node_cell), int(round_cell), float(value_cell)
-                else:
-                    raise ValueError
+                t, node, value = _int_cell(row[at_round]), _int_cell(row[at_node]), _real_cell(value_cell)
             except ValueError:
                 raise ValueError(_bad_cell(row, reader.line_num, (at_round, at_node, at_value))) from None
             by_round = values[node]

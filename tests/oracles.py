@@ -8,13 +8,17 @@ naive_run_simulation is the event loop as it was before its per-message
 shortcuts, with its own copy of the node update rule.  Two partition
 oracles reach past tiny graphs: reference_violating_partition is the
 pruned search without its twin cut, and milp_partition_verdict decides the
-condition with scipy's MILP solver.
+condition with scipy's MILP solver.  naive_read_trace_csv reads a trace CSV
+by the README's file-format rules, with regular expressions for the cells.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 import random
+import re
 from typing import NamedTuple
 
 import networkx as nx
@@ -490,7 +494,8 @@ def naive_byzantine_values(kind: str, params: dict, node: int, tag: int, out_nbr
 
 def naive_run_simulation(config: SimConfig) -> Trace:
     """The event loop before its per-message shortcuts, over a pending list
-    and the Naive*Selectors."""
+    and the Naive*Selectors.  Its trace's deliveries are a list of Delivery
+    records, each with the virtual time this loop counts."""
     config.validate()
     g, f = config.graph, config.f
     kind = config.scheduler.kind
@@ -597,3 +602,52 @@ def naive_run_simulation(config: SimConfig) -> Trace:
         outcome=outcome,
         converged_round=converged_round,
     )
+
+
+TRACE_COLUMNS = ("round", "nodeId", "value")
+INTEGER_CELL = re.compile("[0-9]+")
+# float()'s syntax without its digit-group underscores and whitespace.
+NUMBER_CELL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE | re.ASCII
+)
+
+
+def naive_read_trace_csv(path: str) -> dict[int, list[float]]:
+    """A trace CSV read by the README's rules: the first line names the
+    columns, found by name in any order; blank lines are skipped; a row
+    needs a field for each of the three; round and nodeId are ASCII digits;
+    a value is a finite number with no underscore, surrounding whitespace or
+    non-ASCII text; no (round, nodeId) pair repeats; each node's rounds run
+    0, 1, 2, ... with no gap.  The first rule broken, row by row and in that
+    order, raises ValueError with read_trace_csv's message."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in TRACE_COLUMNS if name not in header]
+        if missing:
+            raise ValueError("trace CSV is missing column(s) " + ", ".join(repr(name) for name in missing))
+        where = {name: header.index(name) for name in TRACE_COLUMNS}
+        need = max(where.values()) + 1
+        rounds_of: dict[int, dict[int, float]] = {}
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < need:
+                raise ValueError(f"trace CSV line {line} has {len(row)} field(s), need {need}")
+            cells = {name: row[where[name]] for name in TRACE_COLUMNS}
+            for name in TRACE_COLUMNS:
+                pattern, kind = (NUMBER_CELL, "a number") if name == "value" else (INTEGER_CELL, "an integer")
+                if not pattern.fullmatch(cells[name]):
+                    raise ValueError(f"trace CSV line {line} column {name!r} is not {kind}: {cells[name]!r}")
+            t, node, value = int(cells["round"]), int(cells["nodeId"]), float(cells["value"])
+            rounds = rounds_of.setdefault(node, {})
+            if t in rounds:
+                raise ValueError(f"trace CSV line {line} repeats round {t} of node {node}")
+            if not math.isfinite(value):
+                raise ValueError(f"trace CSV line {line} has non-finite value {cells['value']!r}")
+            rounds[t] = value
+    for node, rounds in rounds_of.items():
+        if sorted(rounds) != list(range(len(rounds))):
+            raise ValueError(f"trace rounds for node {node} are not contiguous")
+    return {node: [rounds[t] for t in range(len(rounds))] for node, rounds in rounds_of.items()}
