@@ -9,13 +9,17 @@ runs each.
 The partition scaling rows run the partition check once, at its default
 budget, asynchronously on complete graphs K12..K24 (f=2 and 3) and K24
 (f=4), where every node is a twin of every other, and on twin-free random
-graphs with p = 0.9, n = 12..16 (f=2).  Five larger rows follow: random
+graphs with p = 0.9, n = 12..16 (f=2).  Nine larger rows follow: random
 p = 0.9 graphs with n = 18 (seed 18) and n = 20 (seed 1) at f=2 and
 circulant(20, 5) (node i has in-neighbours i-1, ..., i-5 mod 20) at f=1,
 all asynchronous, then circulant(20, 5) at f=2 and a random n = 30,
-p = 0.3 graph (seed 3) at f=2, both synchronous.  Each prints the
-verdict, the search nodes visited (`examined`: the fault-free screen's
-when the screen decides a pass) and the seconds taken.
+p = 0.3 graph (seed 3) at f=2, both synchronous; then random p = 0.9
+graphs with n = 40 (seed 1) at f=3 and n = 60 (seed 1) at f=4, both
+asynchronous, and symmetric circulant(40, 12) (node i has in-neighbours
+i-1, ..., i-12 and i+1, ..., i+12 mod 40) at f=3, synchronous and
+asynchronous.  Each prints the verdict, the search nodes visited
+(`examined`: the fault-free screen's when the screen decides a pass) and
+the seconds taken.
 
 The reduction scaling rows run the reduced-graph check and the
 source-size check side by side on K6 and K7 (f=2), at their default
@@ -270,6 +274,11 @@ def circulant(n: int, k: int) -> Digraph:
     return Digraph(n, [((i - d) % n, i) for i in range(n) for d in range(1, k + 1)])
 
 
+def symmetric_circulant(n: int, k: int) -> Digraph:
+    """Node i has in-neighbours i-1, ..., i-k and i+1, ..., i+k mod n."""
+    return Digraph(n, {((i + d) % n, i) for i in range(n) for d in range(-k, k + 1) if d})
+
+
 def partition_scaling_rows() -> list[dict]:
     graphs = [
         (f"K{n} f={f}", generate_graph("complete", {"n": n}), f, ASYNC)
@@ -281,14 +290,19 @@ def partition_scaling_rows() -> list[dict]:
         (f"random n={n} p=0.9 f=2", generate_graph("random-uniform", {"n": n, "p": 0.9}, seed=n), 2, ASYNC)
         for n in range(12, 17)
     ]
-    # Past the search over every fault set: the first two pass by the
-    # fault-free screen, the other three fall back to that search.
+    # Past the search over every fault set: the random p = 0.9 rows and the
+    # synchronous symmetric circulant pass by the fault-free screen, the
+    # others fall back to that search.
     graphs += [
         ("random n=18 p=0.9 seed 18 f=2", generate_graph("random-uniform", {"n": 18, "p": 0.9}, seed=18), 2, ASYNC),
         ("random n=20 p=0.9 seed 1 f=2", generate_graph("random-uniform", {"n": 20, "p": 0.9}, seed=1), 2, ASYNC),
         ("circulant(20, 5) f=1", circulant(20, 5), 1, ASYNC),
         ("circulant(20, 5) f=2 sync", circulant(20, 5), 2, SYNC),
         ("random n=30 p=0.3 seed 3 f=2 sync", generate_graph("random-uniform", {"n": 30, "p": 0.3}, seed=3), 2, SYNC),
+        ("random n=40 p=0.9 seed 1 f=3", generate_graph("random-uniform", {"n": 40, "p": 0.9}, seed=1), 3, ASYNC),
+        ("random n=60 p=0.9 seed 1 f=4", generate_graph("random-uniform", {"n": 60, "p": 0.9}, seed=1), 4, ASYNC),
+        ("symmetric circulant(40, 12) f=3 sync", symmetric_circulant(40, 12), 3, SYNC),
+        ("symmetric circulant(40, 12) f=3", symmetric_circulant(40, 12), 3, ASYNC),
     ]
     rows = []
     for name, g, f, mode in graphs:

@@ -6,11 +6,11 @@ fault-free screen, and the incremental reduced-graph sweep.  Both carry a
 search budget and are cross-checked against the naive enumerations in the
 test oracles.  `source_components` names the source components of a
 failing reduction for its witness.  Each cut is stated where it is made:
-the screen in violating_partition, the reach, mirror and twin cuts in
-_search, the leaf-batch scoring in failing_reduction.
+the screen in violating_partition, the reach, mirror, twin and count cuts
+in _search, the leaf-batch scoring in failing_reduction.
 
-Graphs are passed as per-node in-neighbour bitmasks.  Search orders are
-part of the contract:
+Graphs are passed as per-node in-neighbour bitmasks, with no self-loops.
+Search orders are part of the contract:
 
 * fault sets F by increasing size, then lexicographic on the sorted tuple;
 * L/C/R assignments in the order of base-3 counters over the surviving
@@ -140,7 +140,7 @@ def _search(
 
     Depth-first search: per fault set, the surviving nodes are placed in id
     order, each trying L, C, then R, so complete assignments are reached in
-    the canonical base-3 order.  Three cuts prune it.
+    the canonical base-3 order.  Four cuts prune it.
 
     Reach: no violating partition lies below a placed L node with r placed
     in-neighbours in C|R, or a placed R node with r in L|C, since counts
@@ -163,6 +163,18 @@ def _search(
     decrease in node order: a node skips L after a twin placed in C and
     goes to R after a twin placed in R.
 
+    Count: let survivor v have d_v in-neighbours among the survivors S and
+    need(v) = d_v - r + 2.  In a violating partition v in L has at most
+    r - 1 of them outside L, so L holds at least d_v - r + 1 of them and v,
+    and |L| >= need(v); likewise for R.  L and R are disjoint and miss the
+    placed C, so no violating partition lies below a node where
+    need_L + need_R > |S| - |C placed|, with need_L the largest need of
+    the placed L nodes, or the least need in S while L is empty, and need_R
+    alike.  Each stack entry carries room, |S| - |C placed| - need_L -
+    need_R, and both needs; a C push spends one unit, an L or R push
+    max(0, need(v) - that side's need), and a child whose room would fall
+    below 0 is not pushed (a fault set whose root has none is skipped).
+
     Every placement tried is one examined search node; expanding a node
     tries all its placements at once.  Returns (status, examined, witness)
     with witness = (F, L, C, R) bitmasks on FAIL.  Once examined would
@@ -181,26 +193,31 @@ def _search(
 
     examined = 0
     for f_mask in fault_masks:
-        # Per survivor: its bit, in- and out-masks, and the bit of its
-        # previous surviving twin (0 if none).
+        # Per survivor: its bit, in- and out-masks, the bit of its previous
+        # surviving twin (0 if none) and its need.
         nodes = [
-            (1 << v, in_masks[v], out_masks[v], pred[v] & ~f_mask)
+            (1 << v, in_masks[v], out_masks[v], pred[v] & ~f_mask, (in_masks[v] & ~f_mask).bit_count() - r + 2)
             for v in range(n)
             if not f_mask >> v & 1
         ]
         last = len(nodes)
         if last < 2:
             continue
-        # Entries (next index, L, C, R); children are pushed R, C, L so that
-        # L is expanded first.
-        stack = [(0, 0, 0, 0)]
+        least = min(node[4] for node in nodes)
+        room = last - 2 * least
+        if room < 0:
+            continue
+        # Entries (next index, L, C, R, room, L's need, R's need); children
+        # are pushed R, C, L so that L is expanded first, and only with
+        # room >= 0.
+        stack = [(0, 0, 0, 0, room, least, least)]
         while stack:
-            i, lm, cm, rm = stack.pop()
+            i, lm, cm, rm, room, l_need, r_need = stack.pop()
             if i == last:
                 if lm and rm:
                     return (FAIL, examined, (f_mask, lm, cm, rm))
                 continue
-            bit, ins, outs, twin = nodes[i]
+            bit, ins, outs, twin, need = nodes[i]
             i += 1
             # The lowest digit this node may take (L=0, C=1, R=2).
             low = 0
@@ -212,11 +229,17 @@ def _search(
             l_hit = reached(outs & lm, cm | rm | bit)
             r_hit = low < 2 and reached(outs & rm, lm | cm | bit)
             if lm and not l_hit and (ins & (lm | cm)).bit_count() < r:
-                stack.append((i, lm, cm, rm | bit))
-            if low < 2 and not (l_hit or r_hit):
-                stack.append((i, lm, cm | bit, rm))
+                if need <= r_need:
+                    stack.append((i, lm, cm, rm | bit, room, l_need, r_need))
+                elif room >= need - r_need:
+                    stack.append((i, lm, cm, rm | bit, room - need + r_need, l_need, need))
+            if low < 2 and room and not (l_hit or r_hit):
+                stack.append((i, lm, cm | bit, rm, room - 1, l_need, r_need))
             if not low and not r_hit and (ins & (cm | rm)).bit_count() < r:
-                stack.append((i, lm | bit, cm, rm))
+                if need <= l_need:
+                    stack.append((i, lm | bit, cm, rm, room, l_need, r_need))
+                elif room >= need - l_need:
+                    stack.append((i, lm | bit, cm, rm, room - need + l_need, need, r_need))
     return (PASS, examined, None)
 
 

@@ -807,11 +807,12 @@ def _bad_cell(row: list[str], line: int, at: tuple[int, int, int]) -> str:
 
 def read_trace_csv(path: str) -> dict[int, list[float]]:
     """Load a values CSV back into {node: [v[0], v[1], ...]}.  A missing
-    column (an empty file lacks all three), a row with too few fields, a
-    round or nodeId that is not ASCII digits, a value that is not a finite
-    number (or has an underscore, surrounding whitespace or non-ASCII
-    text), a repeated (round, nodeId) pair or a gap in a node's rounds
-    raises ValueError; blank lines are skipped."""
+    column (an empty file lacks all three), a column the header names more
+    than once, a row with too few fields, a round or nodeId that is not
+    ASCII digits, a value that is not a finite number (or has an
+    underscore, surrounding whitespace or non-ASCII text), a repeated
+    (round, nodeId) pair or a gap in a node's rounds raises ValueError;
+    blank lines are skipped."""
     values: defaultdict[int, dict[int, float]] = defaultdict(dict)
     with open(path, newline="") as fh:
         # Read whole, so a byte that does not decode is reported at its offset in the file.
@@ -820,6 +821,9 @@ def read_trace_csv(path: str) -> dict[int, list[float]]:
         missing = [name for name in ("round", "nodeId", "value") if name not in header]
         if missing:
             raise ValueError(f"trace CSV is missing column(s) {', '.join(map(repr, missing))}")
+        repeated = [name for name in ("round", "nodeId", "value") if header.count(name) > 1]
+        if repeated:
+            raise ValueError(f"trace CSV names column(s) {', '.join(map(repr, repeated))} more than once")
         at_round, at_node, at_value = map(header.index, ("round", "nodeId", "value"))
         width = max(at_round, at_node, at_value) + 1
         for row in filter(None, reader):

@@ -614,11 +614,11 @@ NUMBER_CELL = re.compile(
 
 def naive_read_trace_csv(path: str) -> dict[int, list[float]]:
     """A trace CSV read by the README's rules: the first line names the
-    columns, found by name in any order; blank lines are skipped; a row
-    needs a field for each of the three; round and nodeId are ASCII digits;
-    a value is a finite number with no underscore, surrounding whitespace or
-    non-ASCII text; no (round, nodeId) pair repeats; each node's rounds run
-    0, 1, 2, ... with no gap.  The first rule broken, row by row and in that
+    columns, found by name in any order, each named once; blank lines are
+    skipped; a row needs a field for each of the three; round and nodeId are
+    ASCII digits; a value is a finite number with no underscore, surrounding
+    whitespace or non-ASCII text; no (round, nodeId) pair repeats; each
+    node's rounds run 0, 1, 2, ... with no gap.  The first rule broken, row by row and in that
     order, raises ValueError with read_trace_csv's message."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -626,6 +626,11 @@ def naive_read_trace_csv(path: str) -> dict[int, list[float]]:
         missing = [name for name in TRACE_COLUMNS if name not in header]
         if missing:
             raise ValueError("trace CSV is missing column(s) " + ", ".join(repr(name) for name in missing))
+        repeated = [name for name in TRACE_COLUMNS if header.count(name) > 1]
+        if repeated:
+            raise ValueError(
+                "trace CSV names column(s) " + ", ".join(repr(name) for name in repeated) + " more than once"
+            )
         where = {name: header.index(name) for name in TRACE_COLUMNS}
         need = max(where.values()) + 1
         rounds_of: dict[int, dict[int, float]] = {}

@@ -28,6 +28,15 @@ def k6_file(tmp_path):
 
 
 @pytest.fixture
+def dense7_file(tmp_path):
+    # Passes async at f=1 after 148 search nodes, so a budget of 3 runs out.
+    path = tmp_path / "dense7.json"
+    args = ["gen", "--kind", "random-uniform", "--n", "7", "--p", "0.9", "--seed", "2", "--out", str(path)]
+    assert main(args) == 0
+    return path
+
+
+@pytest.fixture
 def tiny_budget(monkeypatch):
     monkeypatch.setattr(
         cli, "check_partition_condition", functools.partial(check_partition_condition, budget=3)
@@ -144,8 +153,8 @@ class TestCheck:
         assert rc == 0
         assert out["source_size"]["verdict"] == "pass"
 
-    def test_budget_exceeded(self, k6_file, capsys, tiny_budget):
-        rc = main(["check", str(k6_file), "--f", "1", "--mode", "async"])
+    def test_budget_exceeded(self, dense7_file, capsys, tiny_budget):
+        rc = main(["check", str(dense7_file), "--f", "1", "--mode", "async"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert out["verdict"] == "budget-exceeded"
@@ -378,6 +387,7 @@ class TestRunVerify:
         [
             ("nodeId,round\r\n0,0\r\n", "missing column(s) 'value'"),
             ("", "missing column(s) 'round', 'nodeId', 'value'"),
+            ("round,round,nodeId,value\r\n0,5,0,0.5\r\n1,6,0,0.25\r\n", "names column(s) 'round' more than once"),
             ("round,nodeId,value\r\n0,0,0.5\r\n0,1\r\n", "line 3 has 2 field(s), need 3"),
             ("round,nodeId,value\r\nx,1,0.5\r\n", "line 2 column 'round' is not an integer: 'x'"),
             ("round,nodeId,value\r\n0,1,0.5\r\n0,0,abc\r\n", "line 3 column 'value' is not a number: 'abc'"),
@@ -430,8 +440,8 @@ class TestRunVerify:
         assert captured.out == ""
         assert captured.err.strip() == f"error: trace CSV line 2 has non-finite value '{bad}'"
 
-    def test_verify_budget_exceeded(self, tmp_path, k6_file, capsys, tiny_budget):
-        rc = main(["verify", str(tmp_path / "t.csv"), "--graph", str(k6_file), "--f", "1"])
+    def test_verify_budget_exceeded(self, tmp_path, dense7_file, capsys, tiny_budget):
+        rc = main(["verify", str(tmp_path / "t.csv"), "--graph", str(dense7_file), "--f", "1"])
         assert rc == 2
         assert "budget exceeded" in capsys.readouterr().err
 

@@ -79,17 +79,19 @@ class TestPartitionSearch:
         assert report.examined <= report.budget
 
     def test_tiny_budget_is_exceeded_deterministically(self):
-        masks = tuple(0b111111 ^ (1 << v) for v in range(6))  # K6
-        status, examined, _ = _kernels.violating_partition(6, masks, 1, 3, 10**9)
-        assert status == _kernels.PASS
+        # Its screen fails after 56 nodes and the search over every fault
+        # set passes after 148, so every smaller budget runs out.
+        masks = generate_graph("random-uniform", {"n": 7, "p": 0.9}, seed=2).in_masks()
+        status, examined, _ = _kernels.violating_partition(7, masks, 1, 3, 10**9)
+        assert (status, examined) == (_kernels.PASS, 148)
         for budget in (0, 1, 7, examined - 1):
             for _ in range(2):
-                assert _kernels.violating_partition(6, masks, 1, 3, budget) == (
+                assert _kernels.violating_partition(7, masks, 1, 3, budget) == (
                     _kernels.BUDGET_EXCEEDED,
                     budget + 1,
                     None,
                 )
-        assert _kernels.violating_partition(6, masks, 1, 3, examined) == (_kernels.PASS, examined, None)
+        assert _kernels.violating_partition(7, masks, 1, 3, examined) == (_kernels.PASS, examined, None)
 
     def test_search_is_pruned(self):
         # K12 with f=2 passes async; the full enumeration assigns
@@ -240,18 +242,19 @@ class TestFaultFreeScreen:
         assert _kernels.violating_partition(*args) == unscreened(*args)
 
     # (generate_graph kind, params, seed, f, mode, (status, examined,
-    # witness) of the search before the screen was added).  K6 and K12 pass
-    # after a failed screen; K7's screen decides, in fewer nodes.
+    # witness) of the search over every fault set, without the screen).
+    # K6 and K12 pass after a failed screen; K7 passes at the root either
+    # way, since no fault set leaves room for two sides of the least size.
     PARENT_REPORTS = [
-        ("counterexample-k5", {}, 0, 1, "async", ("fail", 47, (1, 6, 0, 24))),
-        ("complete", {"n": 9}, 0, 2, "async", ("fail", 146, (1, 30, 0, 480))),
-        ("complete", {"n": 10}, 0, 2, "async", ("fail", 266, (3, 60, 0, 960))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 1, 2, "sync", ("fail", 10370, (5, 506, 0, 512))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 9, 1, "async", ("fail", 4549, (32, 65, 0, 926))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 14, 2, "sync", ("fail", 21158, (66, 685, 0, 272))),
-        ("complete", {"n": 6}, 0, 1, "async", ("pass", 74, None)),
-        ("complete", {"n": 12}, 0, 2, "async", ("pass", 396, None)),
-        ("complete", {"n": 7}, 0, 1, "async", ("pass", 90, None)),
+        ("counterexample-k5", {}, 0, 1, "async", ("fail", 12, (1, 6, 0, 24))),
+        ("complete", {"n": 9}, 0, 2, "async", ("fail", 26, (1, 30, 0, 480))),
+        ("complete", {"n": 10}, 0, 2, "async", ("fail", 26, (3, 60, 0, 960))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 1, 2, "sync", ("fail", 3776, (5, 506, 0, 512))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 9, 1, "async", ("fail", 1574, (32, 65, 0, 926))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 14, 2, "sync", ("fail", 7374, (66, 685, 0, 272))),
+        ("complete", {"n": 6}, 0, 1, "async", ("pass", 0, None)),
+        ("complete", {"n": 12}, 0, 2, "async", ("pass", 0, None)),
+        ("complete", {"n": 7}, 0, 1, "async", ("pass", 0, None)),
     ]
 
     @pytest.mark.parametrize("kind, params, seed, f, mode, parent", PARENT_REPORTS)
@@ -261,8 +264,9 @@ class TestFaultFreeScreen:
         assert unscreened(*args) == parent
         got = _kernels.violating_partition(*args)
         if screen(*args)[0] == _kernels.PASS:
+            assert got == screen(*args)
             assert got[0] == parent[0] == _kernels.PASS
-            assert got[1] < parent[1]
+            assert got[1] <= parent[1]
         else:
             assert got == parent
 
@@ -351,11 +355,104 @@ class TestFaultFreeScreen:
         assert exceeded  # some screens ran out before the search decided
 
     def test_random_n20_passes_by_the_screen(self):
-        # Without the screen this exceeds the default budget.
+        # The screen decides in 6 nodes; the search over every fault set
+        # needs 250.
         g = generate_graph("random-uniform", {"n": 20, "p": 0.9}, seed=1)
         report = check_partition_condition(g, 2, "async")
-        assert (report.verdict, report.examined) == ("pass", 362_717)
+        assert (report.verdict, report.examined) == ("pass", 6)
         assert report.examined == screen(g.n, g.in_masks(), 2, 5, DEFAULT_PARTITION_BUDGET)[1]
+
+
+def partition_masks(partition) -> tuple[int, int, int, int] | None:
+    """A Partition as the kernel's (F, L, C, R) bitmasks, or None."""
+    if partition is None:
+        return None
+    sides = (partition.faulty, partition.left, partition.center, partition.right)
+    return tuple(sum(1 << v for v in side) for side in sides)
+
+
+def symmetric_circulant(n: int, k: int) -> Digraph:
+    """Node i has in-neighbours i-1, ..., i-k and i+1, ..., i+k mod n."""
+    return Digraph(n, {((i + d) % n, i) for i in range(n) for d in range(-k, k + 1) if d})
+
+
+@st.composite
+def threshold_case(draw, sizes):
+    """(graph, f, r): a screen_case graph and f, with r one of f + 1, 2f + 1
+    and f + 2."""
+    g, f, _ = draw(screen_case(sizes))
+    return g, f, draw(st.sampled_from([f + 1, 2 * f + 1, f + 2]))
+
+
+class TestCountCut:
+    """_search drops a node when the two sides' least sizes do not fit
+    beside the placed C nodes.  A node v of L has fewer than r of its d_v
+    surviving in-neighbours outside L, so |L| >= d_v - r + 2; the cut never
+    skips a violating partition, so verdicts and first witnesses are those
+    of the searches without it, in no more nodes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_case(st.integers(2, 7)))
+    def test_matches_naive_oracle(self, case):
+        g, f, r = case
+        status, _, witness = _kernels.violating_partition(g.n, g.in_masks(), f, r, 10**9)
+        expect = partition_masks(naive_violating_partition(g, f, r))
+        assert (status, witness) == (_kernels.PASS if expect is None else _kernels.FAIL, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(threshold_case(st.integers(8, 10)))
+    def test_matches_reference_search(self, case):
+        g, f, r = case
+        args = (g.n, g.in_masks(), f, r, 10**9)
+        status, examined, witness = _kernels.violating_partition(*args)
+        ref_status, ref_examined, ref_witness = reference_violating_partition(*args)
+        assert (status, witness) == (ref_status, ref_witness)
+        assert examined <= ref_examined
+
+    @settings(max_examples=200, deadline=None)
+    @given(threshold_case(st.integers(2, 9)), st.data())
+    def test_decides_what_the_reference_decides(self, case, data):
+        # Under any budget a verdict is the full search's, and where the
+        # reference search decides, the kernel decides in no more nodes.
+        g, f, r = case
+        full = reference_violating_partition(g.n, g.in_masks(), f, r, 10**9)
+        budget = data.draw(st.integers(0, 2 * full[1] + 1))
+        ref = reference_violating_partition(g.n, g.in_masks(), f, r, budget)
+        got = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
+        if got[0] != _kernels.BUDGET_EXCEEDED:
+            assert (got[0], got[2]) == (full[0], full[2])
+        if ref[0] != _kernels.BUDGET_EXCEEDED:
+            assert got[0] != _kernels.BUDGET_EXCEEDED
+            assert got[1] <= ref[1]
+
+    # The passing complete-graph rows of benchmarks/bench_kernels.py
+    # partition_scaling and its random p = 0.9 rows with n = 18 and 20.
+    @pytest.mark.parametrize(
+        "kind, params, seed, f, examined",
+        [("complete", {"n": n}, 0, f, 0) for n, f in [(12, 2), (16, 2), (16, 3), (20, 2), (20, 3), (24, 2), (24, 3), (24, 4)]]
+        + [
+            ("random-uniform", {"n": 18, "p": 0.9}, 18, 2, 6),
+            ("random-uniform", {"n": 20, "p": 0.9}, 1, 2, 6),
+        ],
+    )
+    def test_dense_rows_pass_within_a_few_nodes(self, kind, params, seed, f, examined):
+        report = check_partition_condition(generate_graph(kind, params, seed), f, "async")
+        assert (report.verdict, report.examined) == ("pass", examined)
+
+    @pytest.mark.parametrize(
+        "graph, f, mode",
+        [
+            (generate_graph("random-uniform", {"n": 40, "p": 0.9}, seed=1), 3, "async"),
+            (generate_graph("random-uniform", {"n": 60, "p": 0.9}, seed=1), 4, "async"),
+            (symmetric_circulant(40, 12), 3, "sync"),
+        ],
+        ids=["random-n40-f3-async", "random-n60-f4-async", "symmetric-circulant-40-12-f3-sync"],
+    )
+    def test_large_rows_pass_within_the_default_budget(self, graph, f, mode):
+        # Without the count cut each runs out of the default budget.
+        report = check_partition_condition(graph, f, mode)
+        assert report.verdict == "pass"
+        assert report.budget == DEFAULT_PARTITION_BUDGET
 
 
 class TestGoldenReports:
@@ -364,7 +461,7 @@ class TestGoldenReports:
     `examined` included, shows across commits.  A kernel change that
     alters reports on purpose re-pins them and says which reports moved."""
 
-    PARTITION = "2141eddd0d655959a67ffdc3bd141a5351ccfcde02acd8922d98b5b36c91a4f4"
+    PARTITION = "2dc4f3d2cd97310f5bee60dff14700e84d8bcbe179321f42b5d247304d1bc8ff"
     REDUCTION = "cefda418e04a831ef88923e55bdf6657ce5d4ed6bc5ecb439216513e44eb4917"
 
     @staticmethod

@@ -619,13 +619,14 @@ _CELL_PIECES = (
 @st.composite
 def _trace_csv_text(draw) -> str:
     """A trace CSV: the three columns in any order, perhaps with an extra
-    one; rows for a shuffled grid of (round, nodeId) pairs, perhaps with
-    pairs that repeat or leave a gap and rows cut short; a cell now and then
-    replaced by pieces of malformed text; cells quoted at random (always
-    when they hold a line break); blank lines anywhere."""
+    one or a second column named as one of them; rows for a shuffled grid
+    of (round, nodeId) pairs, perhaps with pairs that repeat or leave a gap
+    and rows cut short; a cell now and then replaced by pieces of malformed
+    text; cells quoted at random (always when they hold a line break);
+    blank lines anywhere."""
     header = draw(st.permutations(["round", "nodeId", "value"]))
     if draw(st.booleans()):
-        header.insert(draw(st.integers(0, 3)), "extra")
+        header.insert(draw(st.integers(0, 3)), draw(st.sampled_from(["extra", "extra", "round", "nodeId", "value"])))
     grid = [(t, v) for t in range(draw(st.integers(0, 3))) for v in range(draw(st.integers(1, 3)))]
     grid += draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=2))
     junk = st.lists(st.sampled_from(_CELL_PIECES), max_size=4).map("".join)
@@ -756,6 +757,9 @@ class TestCsvExport:
         [
             ("nodeId,round\n0,0\n", "missing column\\(s\\) 'value'"),
             ("", "missing column\\(s\\) 'round', 'nodeId', 'value'"),
+            # Read by the first `round` column, this would load as {0: [0.5, 0.25]}.
+            ("round,round,nodeId,value\n0,5,0,0.5\n1,6,0,0.25\n", "names column\\(s\\) 'round' more than once"),
+            ("value,nodeId,round,value,nodeId\n", "names column\\(s\\) 'nodeId', 'value' more than once"),
             ("round,nodeId,value\n0,0,0.5\n\n1,0\n", "line 4 has 2 field\\(s\\), need 3"),
             ("round,nodeId,value\n0,0,0.5\n2,0,0.5\n", "not contiguous"),
             ("round,nodeId,value\n0,0,0.5\n1,0,0.5\n0,0,0.25\n", "line 4 repeats round 0 of node 0"),
