@@ -21,6 +21,14 @@ asynchronous.  Each prints the verdict, the search nodes visited
 (`examined`: the fault-free screen's when the screen decides a pass) and
 the seconds taken.
 
+The small-check rows time what the median perfbench `conditions` op
+does: `parse_graph` on a graph document, then the partition check in
+sync and async mode at f=1.  One row per (n, p) cell, n = 7, 8, 9 and
+p = 0.7, 0.85, 0.95, runs ten random-uniform graphs (seeds 0-9) and
+reports the µs per graph (best of `--repeat`), the mean `examined` per
+check and the share of checks decided with no search node; a last row
+covers all 90 graphs.
+
 The reduction scaling rows run the reduced-graph check and the
 source-size check side by side on K6 and K7 (f=2), at their default
 budget, best of `--repeat` runs each, with verdict and `examined`.
@@ -79,7 +87,7 @@ from byztrim.conditions import (
     check_reduced_graph_condition,
     check_source_component_size,
 )
-from byztrim.digraph import Digraph
+from byztrim.digraph import Digraph, parse_graph
 from byztrim.harness import generate_graph
 
 
@@ -313,6 +321,36 @@ def partition_scaling_rows() -> list[dict]:
     return rows
 
 
+def small_checks(documents: list[str]) -> list:
+    """The reports of one perfbench `conditions` op per graph document."""
+    reports = []
+    for document in documents:
+        g = parse_graph(document)
+        reports += [check_partition_condition(g, 1, mode) for mode in (SYNC, ASYNC)]
+    return reports
+
+
+def small_check_rows(repeat: int) -> list[dict]:
+    cells = {
+        f"n={n} p={p}": [
+            json.dumps(generate_graph("random-uniform", {"n": n, "p": p}, seed).to_dict()) for seed in range(10)
+        ]
+        for n in (7, 8, 9)
+        for p in (0.7, 0.85, 0.95)
+    }
+    cells["n=7..9, all 90 graphs"] = [doc for docs in cells.values() for doc in docs]
+    rows = []
+    for name, documents in cells.items():
+        examined = [report.examined for report in small_checks(documents)]
+        rows.append({
+            "name": name,
+            "us_per_graph": per_call(functools.partial(small_checks, documents), repeat) / len(documents) * 1e6,
+            "mean_examined": sum(examined) / len(examined),
+            "root_share": examined.count(0) / len(examined),
+        })
+    return rows
+
+
 def reduction_scaling_rows(repeat: int) -> list[dict]:
     checks = (("reduced-graph", check_reduced_graph_condition), ("source-size", check_source_component_size))
     rows = []
@@ -394,6 +432,10 @@ SECTIONS = {
         "partition check, async unless named sync",
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
     ),
+    "small_checks": (
+        "parse, sync and async partition checks, f=1",
+        [("us/graph", "us_per_graph", 10, ".1f"), ("examined", "mean_examined", 10, ".1f"), ("at root", "root_share", 8, ".2f")],
+    ),
     "reduction_scaling": (
         "reduced-graph sweep, sync",
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
@@ -427,6 +469,7 @@ def main() -> int:
     sections = {
         "kernels": lambda: kernel_rows(args.repeat),
         "partition_scaling": partition_scaling_rows,
+        "small_checks": lambda: small_check_rows(args.repeat),
         "reduction_scaling": lambda: reduction_scaling_rows(args.repeat),
         "protocol": lambda: protocol_rows(args.repeat),
         "simulator": lambda: simulator_rows(args.repeat),

@@ -7,7 +7,8 @@ search budget and are cross-checked against the naive enumerations in the
 test oracles.  `source_components` names the source components of a
 failing reduction for its witness.  Each cut is stated where it is made:
 the screen in violating_partition, the reach, mirror, twin and count cuts
-in _search, the leaf-batch scoring in failing_reduction.
+in _search (the count cut starts at each root from k*, the h-index bound
+on a side's size), the leaf-batch scoring in failing_reduction.
 
 Graphs are passed as per-node in-neighbour bitmasks, with no self-loops.
 Search orders are part of the contract:
@@ -58,40 +59,40 @@ def _fault_masks(n: int, f: int, pred: list[int]) -> list[int]:
     return masks
 
 
-def _twin_predecessors(n: int, in_masks: tuple[int, ...], out_masks: list[int]) -> list[int]:
+def _twin_predecessors(n: int, in_masks: tuple[int, ...], out_masks: tuple[int, ...] | list[int]) -> list[int]:
     """Per node, the bit of the member before it in its twin class, or 0.
 
     Nodes a < b are twins when swapping them is an automorphism: the same
     in- and out-neighbours apart from each other, and a->b iff b->a.
     Twinness is transitive (swapping a, c is swapping a, b conjugated by
-    swapping b, c), so each node joins the class of the first earlier node
-    it is a twin of, and every transposition inside a class is an
-    automorphism.
+    swapping b, c), so the twin classes partition the nodes.  Twins with no
+    edge between them have equal (in, out) masks, and twins with both edges
+    equal masks once each adds itself; conversely either equality makes
+    twins (with no self-loops, equal in-masks leave out both edges, equal
+    masks with self added need both).  A class is all one kind: were a, b
+    twins with no edge and b, c with both, c->b would give c->a and then
+    a->c would give a->b.  So each node's class is found by two hashed
+    signatures, with no pair test.
     """
-
-    def twins(a: int, b: int) -> bool:
-        ab, bb = 1 << a, 1 << b
-        return (
-            in_masks[a] & ~bb == in_masks[b] & ~ab
-            and out_masks[a] & ~bb == out_masks[b] & ~ab
-            and (in_masks[b] >> a & 1) == (in_masks[a] >> b & 1)
-        )
-
     pred = [0] * n
-    classes: list[list[int]] = []
-    for b in range(n):
-        for members in classes:
-            if twins(members[0], b):
-                pred[b] = 1 << members[-1]
-                members.append(b)
-                break
-        else:
-            classes.append([b])
+    # The last node seen with each signature, as a bit (never 0).
+    apart: dict[tuple[int, int], int] = {}
+    joined: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        bit = 1 << v
+        ins, outs = in_masks[v], out_masks[v]
+        pred[v] = apart.get((ins, outs)) or joined.get((ins | bit, outs | bit), 0)
+        apart[ins, outs] = joined[ins | bit, outs | bit] = bit
     return pred
 
 
 def violating_partition(
-    n: int, in_masks: tuple[int, ...], f: int, r: int, budget: int
+    n: int,
+    in_masks: tuple[int, ...],
+    f: int,
+    r: int,
+    budget: int,
+    out_masks: tuple[int, ...] | list[int] | None = None,
 ) -> tuple[str, int, tuple[int, int, int, int] | None]:
     """First partition (F, L, C, R) with |F| <= f, L and R non-empty, where
     no node of L has >= r in-neighbours in C|R and no node of R has >= r
@@ -111,13 +112,16 @@ def violating_partition(
     budget it is a new verdict.  The worst case visits 2 * budget nodes.
 
     Returns (status, examined, witness) with witness = (F, L, C, R)
-    bitmasks on FAIL; see _search.  The out-masks and twin predecessors are
-    computed once for both searches.
+    bitmasks on FAIL; see _search.  `out_masks` are the graph's out-neighbour
+    bitmasks (Digraph.out_masks caches them, so a graph's checks share
+    them); they are computed here when not given.  The twin predecessors
+    are computed once for both searches.
     """
-    out_masks = [0] * n
-    for v in range(n):
-        for u in _bits(in_masks[v]):
-            out_masks[u] |= 1 << v
+    if out_masks is None:
+        out_masks = [0] * n
+        for v in range(n):
+            for u in _bits(in_masks[v]):
+                out_masks[u] |= 1 << v
     pred = _twin_predecessors(n, in_masks, out_masks)
     if f and all(ins.bit_count() >= r + f for ins in in_masks):
         screen = _search(n, in_masks, out_masks, pred, [0], r + f, budget)
@@ -129,7 +133,7 @@ def violating_partition(
 def _search(
     n: int,
     in_masks: tuple[int, ...],
-    out_masks: list[int],
+    out_masks: tuple[int, ...] | list[int],
     pred: list[int],
     fault_masks: list[int],
     r: int,
@@ -166,14 +170,18 @@ def _search(
     Count: let survivor v have d_v in-neighbours among the survivors S and
     need(v) = d_v - r + 2.  In a violating partition v in L has at most
     r - 1 of them outside L, so L holds at least d_v - r + 1 of them and v,
-    and |L| >= need(v); likewise for R.  L and R are disjoint and miss the
-    placed C, so no violating partition lies below a node where
-    need_L + need_R > |S| - |C placed|, with need_L the largest need of
-    the placed L nodes, or the least need in S while L is empty, and need_R
-    alike.  Each stack entry carries room, |S| - |C placed| - need_L -
-    need_R, and both needs; a C push spends one unit, an L or R push
-    max(0, need(v) - that side's need), and a child whose room would fall
-    below 0 is not pushed (a fault set whose root has none is skipped).
+    and |L| >= need(v); likewise for R.  So a side of s nodes holds only
+    survivors of need <= s.  With h(k) the survivors whose need is at most
+    k, every side has s <= h(s), hence at least k* = min{k >= 1 : h(k) >= k}
+    nodes, and sides of sizes a <= b lie among the h(b) survivors of need
+    <= b, so h(b) >= a + b >= b + k* with b <= |S| - k*.  A fault set with
+    no such b is skipped at its root.  Below it, L and R are disjoint and
+    miss the placed C, so no violating partition lies below a node where
+    need_L + need_R > |S| - |C placed|, with need_L the largest of k* and
+    the needs of the placed L nodes, and need_R alike.  Each stack entry
+    carries room, |S| - |C placed| - need_L - need_R, and both needs; a C
+    push spends one unit, an L or R push max(0, need(v) - that side's
+    need), and a child whose room would fall below 0 is not pushed.
 
     Every placement tried is one examined search node; expanding a node
     tries all its placements at once.  Returns (status, examined, witness)
@@ -203,14 +211,19 @@ def _search(
         last = len(nodes)
         if last < 2:
             continue
-        least = min(node[4] for node in nodes)
-        room = last - 2 * least
-        if room < 0:
+        # h[k]: the survivors whose need is at most k, for k >= 1 (a need
+        # is at most last - r + 1, so h[last] == last).
+        h = [0] * (last + 1)
+        for node in nodes:
+            h[max(node[4], 1)] += 1
+        h = list(itertools.accumulate(h))
+        k_star = next(k for k in range(1, last + 1) if h[k] >= k)
+        if not any(h[b] >= b + k_star for b in range(k_star, last - k_star + 1)):
             continue
         # Entries (next index, L, C, R, room, L's need, R's need); children
         # are pushed R, C, L so that L is expanded first, and only with
         # room >= 0.
-        stack = [(0, 0, 0, 0, room, least, least)]
+        stack = [(0, 0, 0, 0, last - 2 * k_star, k_star, k_star)]
         while stack:
             i, lm, cm, rm, room, l_need, r_need = stack.pop()
             if i == last:
@@ -226,8 +239,9 @@ def _search(
             examined += (3 if lm else 2) - low
             if examined > budget:
                 return (BUDGET_EXCEEDED, budget + 1, None)
-            l_hit = reached(outs & lm, cm | rm | bit)
-            r_hit = low < 2 and reached(outs & rm, lm | cm | bit)
+            # Only a placed out-neighbour of v on a side can be newly reached.
+            l_hit = (l_outs := outs & lm) and reached(l_outs, cm | rm | bit)
+            r_hit = low < 2 and (r_outs := outs & rm) and reached(r_outs, lm | cm | bit)
             if lm and not l_hit and (ins & (lm | cm)).bit_count() < r:
                 if need <= r_need:
                     stack.append((i, lm, cm, rm | bit, room, l_need, r_need))

@@ -153,7 +153,7 @@ def _check_reach_args(g: Digraph, a: Iterable[int], b: Iterable[int], r: int):
     nodes = set(g.nodes)
     if not (sa <= nodes and sb <= nodes):
         raise ValueError("reach sets contain unknown nodes")
-    if r < 1:
+    if int_value(r, "threshold") < 1:
         raise ValueError(f"threshold must be >= 1, got {r}")
     return sa, sb
 
@@ -237,18 +237,21 @@ def check_partition_condition(
     past the cap the verdict is "budget-exceeded" with examined == budget + 1.
     """
     int_value(f, "f", 0)
+    int_value(budget, "budget", 0)
     r = threshold(f, mode)
     # Cheap filter first; the search below remains the source of truth and
     # supplies the witness.
     violations = tuple(quick_degree_checks(g, f)) if mode == ASYNC else ()
-    verdict, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget)
+    verdict, examined, hit = _kernels.violating_partition(g.n, g.in_masks(), f, r, budget, g.out_masks())
     witness = Partition(*map(_unmask, hit)) if hit else None
     return ConditionReport(verdict, "partition", mode, r, f, examined, budget, witness, violations)
 
 
-def _reduction_report(
-    g: Digraph, f: int, check: str, min_source_size: int, budget: int
-) -> ConditionReport:
+def _reduction_report(g: Digraph, f: int, check: str, budget: int) -> ConditionReport:
+    int_value(f, "f", 0)
+    int_value(budget, "budget", 0)
+    # The reduced-graph check needs one source component, source-size f + 1.
+    min_source_size = threshold(f, SYNC) if check == "source-size" else 1
     verdict, examined, hit = _kernels.failing_reduction(
         g.n, g.in_masks(), f, min_source_size, budget
     )
@@ -270,14 +273,17 @@ def check_reduced_graph_condition(
     has exactly one source component.  Decides the synchronous condition;
     serves as the independent oracle for check_partition_condition(sync).
     """
-    int_value(f, "f", 0)
-    return _reduction_report(g, f, "reduced-graph", 1, budget)
+    return _reduction_report(g, f, "reduced-graph", budget)
 
 
 def check_source_component_size(
     g: Digraph, f: int, budget: int = DEFAULT_REDUCTION_BUDGET
 ) -> ConditionReport:
     """Pass iff every reduced graph has a unique source component with at
-    least f+1 nodes (a necessary consequence of the partition condition)."""
-    int_value(f, "f", 0)
-    return _reduction_report(g, f, "source-size", threshold(f, SYNC), budget)
+    least f+1 nodes.  On graphs of n >= 2 nodes this is a necessary
+    consequence of the partition condition: every graph of 2 to 4 nodes
+    that passes the synchronous partition check at f = 1 or 2 passes it.
+    A one-node graph at f >= 1 passes the partition check (there is no
+    second side) but fails this one, since its one source component is
+    smaller than f + 1."""
+    return _reduction_report(g, f, "source-size", budget)

@@ -23,7 +23,7 @@ class Digraph:
     immutable after construction and hashable.
     """
 
-    __slots__ = ("n", "edges", "in_nbrs", "out_nbrs", "f_hint", "_in_masks")
+    __slots__ = ("n", "edges", "in_nbrs", "out_nbrs", "f_hint", "_in_masks", "_out_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], f_hint: int | None = None):
         if not is_int(n) or n < 1:
@@ -36,7 +36,8 @@ class Digraph:
                 i, j = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a pair of node ids, got {e!r}") from None
-            if not (is_int(i) and is_int(j)):
+            # The exact-type test decides the common case without a call.
+            if not (type(i) is int and type(j) is int or is_int(i) and is_int(j)):
                 raise GraphError(f"edge endpoints must be integers, got {e!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge {e!r} out of range for n={n}")
@@ -53,6 +54,7 @@ class Digraph:
         self.out_nbrs: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in outs)
         self.f_hint = f_hint
         self._in_masks: tuple[int, ...] | None = None
+        self._out_masks: tuple[int, ...] | None = None
 
     @property
     def nodes(self) -> range:
@@ -63,6 +65,12 @@ class Digraph:
         if self._in_masks is None:
             self._in_masks = tuple(sum(1 << u for u in nbrs) for nbrs in self.in_nbrs)
         return self._in_masks
+
+    def out_masks(self) -> tuple[int, ...]:
+        """Per-node out-neighbour sets as bitmasks (bit j set iff (v,j) is an edge)."""
+        if self._out_masks is None:
+            self._out_masks = tuple(sum(1 << u for u in nbrs) for nbrs in self.out_nbrs)
+        return self._out_masks
 
     def to_dict(self) -> dict:
         d = {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}

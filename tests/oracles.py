@@ -8,7 +8,8 @@ naive_run_simulation is the event loop as it was before its per-message
 shortcuts, with its own copy of the node update rule.  Two partition
 oracles reach past tiny graphs: reference_violating_partition is the
 pruned search without its twin cut, and milp_partition_verdict decides the
-condition with scipy's MILP solver.  naive_read_trace_csv reads a trace CSV
+condition with scipy's MILP solver.  naive_twin_predecessors finds twin
+classes by testing every pair.  naive_read_trace_csv reads a trace CSV
 by the README's file-format rules, with regular expressions for the cells.
 """
 
@@ -45,26 +46,56 @@ def naive_violating_partition(g: Digraph, f: int, r: int) -> Partition | None:
     """First violating partition in the canonical order (F by size then
     lexicographic; remaining nodes assigned base-3 digits L=0, C=1, R=2 with
     the smallest node as the most significant digit)."""
-    nodes = list(g.nodes)
     for k in range(min(f, g.n) + 1):
-        for fs in itertools.combinations(nodes, k):
-            rest = [v for v in nodes if v not in fs]
-            if len(rest) < 2:
-                continue
-            for digits in itertools.product((0, 1, 2), repeat=len(rest)):
-                left = {v for v, d in zip(rest, digits) if d == 0}
-                center = {v for v, d in zip(rest, digits) if d == 1}
-                right = {v for v, d in zip(rest, digits) if d == 2}
-                if not left or not right:
-                    continue
-                if naive_reaches(g, center | right, left, r):
-                    continue
-                if naive_reaches(g, left | center, right, r):
-                    continue
-                return Partition(
-                    frozenset(fs), frozenset(left), frozenset(center), frozenset(right)
-                )
+        for fs in itertools.combinations(g.nodes, k):
+            found = naive_violation_with(g, fs, r)
+            if found is not None:
+                return found
     return None
+
+
+def naive_violation_with(g: Digraph, fs: tuple[int, ...], r: int) -> Partition | None:
+    """First violating partition, in the canonical order, whose fault set is
+    exactly `fs`."""
+    rest = [v for v in g.nodes if v not in fs]
+    for digits in itertools.product((0, 1, 2), repeat=len(rest)):
+        left = {v for v, d in zip(rest, digits) if d == 0}
+        center = {v for v, d in zip(rest, digits) if d == 1}
+        right = {v for v, d in zip(rest, digits) if d == 2}
+        if not left or not right:
+            continue
+        if naive_reaches(g, center | right, left, r):
+            continue
+        if naive_reaches(g, left | center, right, r):
+            continue
+        return Partition(frozenset(fs), frozenset(left), frozenset(center), frozenset(right))
+    return None
+
+
+def naive_twin_predecessors(g: Digraph) -> list[int]:
+    """Per node, the bit of the member before it in its twin class, or 0,
+    by the pairwise definition: a < b are twins when they have the same in-
+    and out-neighbours apart from each other and a->b iff b->a.  Each node
+    joins the class of the first earlier node it is a twin of."""
+
+    def twins(a: int, b: int) -> bool:
+        return (
+            g.in_nbrs[a] - {b} == g.in_nbrs[b] - {a}
+            and g.out_nbrs[a] - {b} == g.out_nbrs[b] - {a}
+            and ((a, b) in g.edges) == ((b, a) in g.edges)
+        )
+
+    pred = [0] * g.n
+    classes: list[list[int]] = []
+    for b in g.nodes:
+        for members in classes:
+            if twins(members[0], b):
+                pred[b] = 1 << members[-1]
+                members.append(b)
+                break
+        else:
+            classes.append([b])
+    return pred
 
 
 def all_fault_masks(n: int, f: int) -> list[int]:

@@ -29,9 +29,9 @@ def k6_file(tmp_path):
 
 @pytest.fixture
 def dense7_file(tmp_path):
-    # Passes async at f=1 after 148 search nodes, so a budget of 3 runs out.
+    # Passes async at f=1 after 201 search nodes, so a budget of 3 runs out.
     path = tmp_path / "dense7.json"
-    args = ["gen", "--kind", "random-uniform", "--n", "7", "--p", "0.9", "--seed", "2", "--out", str(path)]
+    args = ["gen", "--kind", "random-uniform", "--n", "7", "--p", "0.9", "--seed", "8", "--out", str(path)]
     assert main(args) == 0
     return path
 

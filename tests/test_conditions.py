@@ -246,6 +246,26 @@ class TestSourceComponentSize:
             f = rng.randrange(0, 2)
             assert check_source_component_size(g, f).verdict == naive_source_size_verdict(g, f)
 
+    def test_sync_pass_implies_source_size_pass_from_two_nodes(self):
+        # The source-size check is a consequence of the partition condition
+        # only on graphs of two or more nodes.
+        checked = 0
+        for n in (2, 3, 4):
+            for g in all_digraphs(n):
+                for f in (1, 2):
+                    if check_partition_condition(g, f, SYNC).passed:
+                        checked += 1
+                        assert check_source_component_size(g, f).passed, (g.to_dict(), f)
+        assert checked
+
+    @pytest.mark.parametrize("f, source_size", [(0, "pass"), (1, "fail"), (2, "fail")])
+    def test_one_node_graph(self, f, source_size):
+        # With no second side the partition check passes; the one source
+        # component, of one node, is smaller than f + 1 for f >= 1.
+        g = Digraph(1, [])
+        assert check_partition_condition(g, f, SYNC).verdict == "pass"
+        assert check_source_component_size(g, f).verdict == source_size
+
 
 class TestTimingModels:
     """The one record per timing model (protocol.MODELS) against the values

@@ -15,7 +15,10 @@ from byztrim.conditions import (
     check_partition_condition,
     check_reduced_graph_condition,
     check_source_component_size,
+    in_set,
+    propagates,
     quick_degree_checks,
+    reaches,
 )
 from byztrim.digraph import Digraph, parse_graph
 from byztrim.harness import generate_graph, verify_contraction
@@ -47,6 +50,12 @@ INTEGER_SLOTS = {
     "check_partition_condition f": lambda x: check_partition_condition(K6, x, "async"),
     "check_reduced_graph_condition f": lambda x: check_reduced_graph_condition(K6, x),
     "check_source_component_size f": lambda x: check_source_component_size(K6, x),
+    "check_partition_condition budget": lambda x: check_partition_condition(K6, 1, "async", budget=x),
+    "check_reduced_graph_condition budget": lambda x: check_reduced_graph_condition(K6, 1, budget=x),
+    "check_source_component_size budget": lambda x: check_source_component_size(K6, 1, budget=x),
+    "in_set threshold": lambda x: in_set(K6, [0, 1], [2], x),
+    "reaches threshold": lambda x: reaches(K6, [0, 1], [2], x),
+    "propagates threshold": lambda x: propagates(K6, [0, 1], [2], x),
     "quick_degree_checks f": lambda x: quick_degree_checks(K6, x),
     "NodeState node id": lambda x: NodeState(x, 0.0, K6, 1),
     "NodeState f": lambda x: NodeState(0, 0.0, K6, x),
@@ -110,6 +119,9 @@ ROWS = (
     # Counts: f is at least 0 and max_rounds at least 1.
     + [(f"{name}=-1", INTEGER_SLOTS[name], -1, "non-negative|>= 0") for name in INTEGER_SLOTS if name.endswith(" f")]
     + [("SimConfig max_rounds=0", INTEGER_SLOTS["SimConfig max_rounds"], 0, ">= 1")]
+    # A search budget is at least 0, a reach threshold at least 1.
+    + [(f"{name}=-1", INTEGER_SLOTS[name], -1, ">= 0") for name in INTEGER_SLOTS if name.endswith(" budget")]
+    + [(f"{name}={value}", INTEGER_SLOTS[name], value, ">= 1") for name in INTEGER_SLOTS if name.endswith(" threshold") for value in (0, -1)]
     # A contraction rate is a real in (0, 1].
     + [
         (f"verify_contraction alpha={value!r}", REAL_SLOTS["verify_contraction alpha"], value, r"in \(0, 1\]")

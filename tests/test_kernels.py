@@ -15,7 +15,9 @@ from conftest import TWIN_RICH_FAMILIES, complete, random_digraph
 from oracles import (
     all_fault_masks,
     naive_failing_reduction,
+    naive_twin_predecessors,
     naive_violating_partition,
+    naive_violation_with,
     reference_violating_partition,
 )
 
@@ -79,11 +81,11 @@ class TestPartitionSearch:
         assert report.examined <= report.budget
 
     def test_tiny_budget_is_exceeded_deterministically(self):
-        # Its screen fails after 56 nodes and the search over every fault
-        # set passes after 148, so every smaller budget runs out.
-        masks = generate_graph("random-uniform", {"n": 7, "p": 0.9}, seed=2).in_masks()
+        # Its screen fails after 53 nodes and the search over every fault
+        # set passes after 201, so every smaller budget runs out.
+        masks = generate_graph("random-uniform", {"n": 7, "p": 0.9}, seed=8).in_masks()
         status, examined, _ = _kernels.violating_partition(7, masks, 1, 3, 10**9)
-        assert (status, examined) == (_kernels.PASS, 148)
+        assert (status, examined) == (_kernels.PASS, 201)
         for budget in (0, 1, 7, examined - 1):
             for _ in range(2):
                 assert _kernels.violating_partition(7, masks, 1, 3, budget) == (
@@ -128,8 +130,20 @@ class TestTwinCut:
     )
     def test_twin_predecessors(self, n, edges, expect):
         g = Digraph(n, edges)
-        out_masks = [sum(1 << v for v in g.out_nbrs[u]) for u in range(n)]
-        assert _kernels._twin_predecessors(n, g.in_masks(), out_masks) == expect
+        assert _kernels._twin_predecessors(n, g.in_masks(), g.out_masks()) == expect
+        assert naive_twin_predecessors(g) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        twin_rich_case(st.integers(2, 12)).map(lambda case: case[0]),
+        st.builds(
+            lambda n, p, seed: random_digraph(n, p, random.Random(seed)),
+            st.integers(1, 9), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2**32 - 1),
+        ),
+    ))
+    def test_twin_predecessors_match_pairwise_definition(self, g):
+        # The two hashed signatures find the classes the pair tests find.
+        assert _kernels._twin_predecessors(g.n, g.in_masks(), g.out_masks()) == naive_twin_predecessors(g)
 
     @settings(max_examples=200, deadline=None)
     @given(twin_rich_case(st.integers(2, 7)))
@@ -168,9 +182,9 @@ class TestTwinCut:
         assert report.examined < 10_000
 
 
-def search_parts(n: int, in_masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def search_parts(n: int, in_masks: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     """The out-masks and twin predecessors that _kernels._search takes."""
-    out_masks = [sum(1 << v for v in range(n) if in_masks[v] >> u & 1) for u in range(n)]
+    out_masks = tuple(sum(1 << v for v in range(n) if in_masks[v] >> u & 1) for u in range(n))
     return out_masks, _kernels._twin_predecessors(n, in_masks, out_masks)
 
 
@@ -249,9 +263,9 @@ class TestFaultFreeScreen:
         ("counterexample-k5", {}, 0, 1, "async", ("fail", 12, (1, 6, 0, 24))),
         ("complete", {"n": 9}, 0, 2, "async", ("fail", 26, (1, 30, 0, 480))),
         ("complete", {"n": 10}, 0, 2, "async", ("fail", 26, (3, 60, 0, 960))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 1, 2, "sync", ("fail", 3776, (5, 506, 0, 512))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 9, 1, "async", ("fail", 1574, (32, 65, 0, 926))),
-        ("random-uniform", {"n": 10, "p": 0.6}, 14, 2, "sync", ("fail", 7374, (66, 685, 0, 272))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 1, 2, "sync", ("fail", 3051, (5, 506, 0, 512))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 9, 1, "async", ("fail", 395, (32, 65, 0, 926))),
+        ("random-uniform", {"n": 10, "p": 0.6}, 14, 2, "sync", ("fail", 4482, (66, 685, 0, 272))),
         ("complete", {"n": 6}, 0, 1, "async", ("pass", 0, None)),
         ("complete", {"n": 12}, 0, 2, "async", ("pass", 0, None)),
         ("complete", {"n": 7}, 0, 1, "async", ("pass", 0, None)),
@@ -355,11 +369,11 @@ class TestFaultFreeScreen:
         assert exceeded  # some screens ran out before the search decided
 
     def test_random_n20_passes_by_the_screen(self):
-        # The screen decides in 6 nodes; the search over every fault set
-        # needs 250.
+        # The screen decides at its root, as the search over every fault
+        # set would (the count bound leaves no fault set to search).
         g = generate_graph("random-uniform", {"n": 20, "p": 0.9}, seed=1)
         report = check_partition_condition(g, 2, "async")
-        assert (report.verdict, report.examined) == ("pass", 6)
+        assert (report.verdict, report.examined) == ("pass", 0)
         assert report.examined == screen(g.n, g.in_masks(), 2, 5, DEFAULT_PARTITION_BUDGET)[1]
 
 
@@ -431,8 +445,8 @@ class TestCountCut:
         "kind, params, seed, f, examined",
         [("complete", {"n": n}, 0, f, 0) for n, f in [(12, 2), (16, 2), (16, 3), (20, 2), (20, 3), (24, 2), (24, 3), (24, 4)]]
         + [
-            ("random-uniform", {"n": 18, "p": 0.9}, 18, 2, 6),
-            ("random-uniform", {"n": 20, "p": 0.9}, 1, 2, 6),
+            ("random-uniform", {"n": 18, "p": 0.9}, 18, 2, 0),
+            ("random-uniform", {"n": 20, "p": 0.9}, 1, 2, 0),
         ],
     )
     def test_dense_rows_pass_within_a_few_nodes(self, kind, params, seed, f, examined):
@@ -455,13 +469,66 @@ class TestCountCut:
         assert report.budget == DEFAULT_PARTITION_BUDGET
 
 
+def two_cliques_and_centre(centre: int) -> Digraph:
+    """Two disjoint K3s (nodes 0-2 and 3-5) and `centre` more nodes, each
+    fed by nodes 0 and 3.  At f = 0, r = 1 every need is 3, and the one
+    violating partition has L = {0, 1, 2}, R = {3, 4, 5} and the rest in C:
+    both sides are of the least size the count bound allows."""
+    edges = [(u, v) for side in (range(3), range(3, 6)) for u in side for v in side if u != v]
+    edges += [(u, v) for v in range(6, 6 + centre) for u in (0, 3)]
+    return Digraph(6 + centre, edges)
+
+
+class TestCountBound:
+    """At the root of each fault set _search counts h(k), the survivors of
+    need at most k.  A side of a violating partition holds each member's
+    need, so it has at least k* = min{k >= 1 : h(k) >= k} nodes, and sides
+    of sizes a <= b need h(b) >= a + b; a fault set with no such b is
+    skipped, and both empty sides start at need k*."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(threshold_case(st.integers(2, 6)))
+    def test_skipped_fault_sets_hold_no_violation(self, case):
+        # A fault set searched alone that passes in 0 nodes was skipped at
+        # its root (an unskipped root with two or more survivors places a
+        # node), so no violating partition has that fault set.
+        g, f, r = case
+        out_masks, no_twins = g.out_masks(), [0] * g.n
+        for f_mask in _kernels._fault_masks(g.n, f, no_twins):
+            fault = tuple(_kernels._bits(f_mask))
+            if g.n - len(fault) < 2:
+                continue
+            got = _kernels._search(g.n, g.in_masks(), out_masks, no_twins, [f_mask], r, 10**9)
+            if got == (_kernels.PASS, 0, None):
+                assert naive_violation_with(g, fault, r) is None
+
+    @pytest.mark.parametrize("centre", [0, 1, 2, 3])
+    def test_sides_of_the_least_size_are_found(self, centre):
+        # h(3) = 6 + centre, k* = 3: the root test holds with equality at
+        # centre 0, and the centre fills the room two sides of size k*
+        # leave.
+        g = two_cliques_and_centre(centre)
+        status, _, witness = _kernels.violating_partition(g.n, g.in_masks(), 0, 1, 10**9)
+        assert (status, witness) == (_kernels.FAIL, (0, 0b111, ((1 << centre) - 1) << 6, 0b111000))
+        assert witness == partition_masks(naive_violating_partition(g, 0, 1))
+
+    def test_dense_row_passes_at_the_root(self):
+        # Random n=16 p=0.9 (seed 16) at f=2 async, a partition_scaling row:
+        # the bound skips the screen and every fault set at the root.
+        # Without it the search visits 626 nodes.
+        g = generate_graph("random-uniform", {"n": 16, "p": 0.9}, seed=16)
+        args = (g.n, g.in_masks(), 2, 5, 10**9)
+        assert _kernels.violating_partition(*args) == (_kernels.PASS, 0, None)
+        assert unscreened(*args) == (_kernels.PASS, 0, None)
+
+
 class TestGoldenReports:
     """SHA-256 of the kernels' (status, examined, witness) reports over
     fixed seeded pools of random graphs, so that any change to a report,
     `examined` included, shows across commits.  A kernel change that
     alters reports on purpose re-pins them and says which reports moved."""
 
-    PARTITION = "2dc4f3d2cd97310f5bee60dff14700e84d8bcbe179321f42b5d247304d1bc8ff"
+    PARTITION = "7b329f80fc128d51ac79f129649b827249f061e001a746ac0e515c013504638e"
     REDUCTION = "cefda418e04a831ef88923e55bdf6657ce5d4ed6bc5ecb439216513e44eb4917"
 
     @staticmethod
