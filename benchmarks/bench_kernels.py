@@ -6,8 +6,8 @@ The kernel rows time the pruned depth-first partition search and the
 incremental reduced-graph sweep of `byztrim._kernels`, best of `--repeat`
 runs each.
 
-The partition scaling rows run the partition check once, at its default
-budget, asynchronously on complete graphs K12..K24 (f=2 and 3) and K24
+The partition scaling rows run the partition check at its default
+budget, best of `--repeat` runs each, asynchronously on complete graphs K12..K24 (f=2 and 3) and K24
 (f=4), where every node is a twin of every other, and on twin-free random
 graphs with p = 0.9, n = 12..16 (f=2).  Nine larger rows follow: random
 p = 0.9 graphs with n = 18 (seed 18) and n = 20 (seed 1) at f=2 and
@@ -28,6 +28,14 @@ p = 0.7, 0.85, 0.95, runs ten random-uniform graphs (seeds 0-9) and
 reports the µs per graph (best of `--repeat`), the mean `examined` per
 check and the share of checks decided with no search node; a last row
 covers all 90 graphs.
+
+The graph-build rows time `parse_graph` per graph document: on the ten
+graphs of each small-check cell, and on K16 and K32.  A last row parses a
+20,000-node cycle and builds its neighbour sets, as a simulator run does.
+Each row gives the edges per graph, the µs per graph (best of `--repeat`)
+and the tracemalloc peak of one untimed pass, per graph, in KB.  `Digraph` keeps only
+the edge set; the masks of the checks and the neighbour sets of the
+simulator are built on first use.
 
 The reduction scaling rows run the reduced-graph check and the
 source-size check side by side on K6 and K7 (f=2), at their default
@@ -260,13 +268,18 @@ def protocol_rows(repeat: int) -> list[dict]:
     ]
 
 
-def best_time(fn, repeat: int) -> float:
+def best_of(fn, repeat: int):
+    """The result of `fn()` and its best time over `repeat` calls (at least one)."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(max(repeat, 1)):
         start = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - start)
-    return best
+    return result, best
+
+
+def best_time(fn, repeat: int) -> float:
+    return best_of(fn, repeat)[1]
 
 
 def simulator_rows(repeat: int) -> list[dict]:
@@ -287,7 +300,7 @@ def symmetric_circulant(n: int, k: int) -> Digraph:
     return Digraph(n, {((i + d) % n, i) for i in range(n) for d in range(-k, k + 1) if d})
 
 
-def partition_scaling_rows() -> list[dict]:
+def partition_scaling_rows(repeat: int) -> list[dict]:
     graphs = [
         (f"K{n} f={f}", generate_graph("complete", {"n": n}), f, ASYNC)
         for n in (12, 16, 20, 24)
@@ -314,9 +327,7 @@ def partition_scaling_rows() -> list[dict]:
     ]
     rows = []
     for name, g, f, mode in graphs:
-        start = time.perf_counter()
-        report = check_partition_condition(g, f, mode)
-        seconds = time.perf_counter() - start
+        report, seconds = best_of(functools.partial(check_partition_condition, g, f, mode), repeat)
         rows.append({"name": name, "verdict": report.verdict, "examined": report.examined, "seconds": seconds})
     return rows
 
@@ -330,14 +341,19 @@ def small_checks(documents: list[str]) -> list:
     return reports
 
 
-def small_check_rows(repeat: int) -> list[dict]:
-    cells = {
+def small_check_cells() -> dict[str, list[str]]:
+    """Ten random-uniform graph documents (seeds 0-9) per (n, p) cell."""
+    return {
         f"n={n} p={p}": [
             json.dumps(generate_graph("random-uniform", {"n": n, "p": p}, seed).to_dict()) for seed in range(10)
         ]
         for n in (7, 8, 9)
         for p in (0.7, 0.85, 0.95)
     }
+
+
+def small_check_rows(repeat: int) -> list[dict]:
+    cells = small_check_cells()
     cells["n=7..9, all 90 graphs"] = [doc for docs in cells.values() for doc in docs]
     rows = []
     for name, documents in cells.items():
@@ -348,6 +364,50 @@ def small_check_rows(repeat: int) -> list[dict]:
             "mean_examined": sum(examined) / len(examined),
             "root_share": examined.count(0) / len(examined),
         })
+    return rows
+
+
+def parse_all(documents: list[str]) -> list[Digraph]:
+    return [parse_graph(document) for document in documents]
+
+
+def neighbour_sets(document: str) -> tuple[frozenset[int], ...]:
+    """Parse a graph document and build its neighbour sets, as a run does."""
+    return parse_graph(document).in_nbrs
+
+
+def peak_kb(fn) -> float:
+    """The tracemalloc peak of one call of `fn`, in KB."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1024
+
+
+def graph_build_rows(repeat: int) -> list[dict]:
+    cells = {f"parse_graph, {name}": documents for name, documents in small_check_cells().items()}
+    for n in (16, 32):
+        cells[f"parse_graph, K{n}"] = [json.dumps(generate_graph("complete", {"n": n}).to_dict())]
+    rows = []
+    for name, documents in cells.items():
+        fn = functools.partial(parse_all, documents)
+        rows.append({
+            "name": name,
+            "edges": sum(len(g.edges) for g in fn()) / len(documents),
+            "us_per_graph": per_call(fn, repeat) / len(documents) * 1e6,
+            "peak_kb": peak_kb(fn) / len(documents),
+        })
+    cycle = json.dumps(generate_graph("cycle", {"n": 20_000}).to_dict())
+    fn = functools.partial(neighbour_sets, cycle)
+    rows.append({
+        "name": "parse_graph + neighbour sets, 20,000-node cycle",
+        "edges": 20_000,
+        "us_per_graph": best_time(fn, repeat) * 1e6,
+        "peak_kb": peak_kb(fn),
+    })
     return rows
 
 
@@ -436,6 +496,10 @@ SECTIONS = {
         "parse, sync and async partition checks, f=1",
         [("us/graph", "us_per_graph", 10, ".1f"), ("examined", "mean_examined", 10, ".1f"), ("at root", "root_share", 8, ".2f")],
     ),
+    "graph_build": (
+        "graph document to Digraph",
+        [("edges", "edges", 8, ".1f"), ("us/graph", "us_per_graph", 10, ".1f"), ("peak KB", "peak_kb", 10, ".1f")],
+    ),
     "reduction_scaling": (
         "reduced-graph sweep, sync",
         [("verdict", "verdict", 16, "s"), ("examined", "examined", 10, "d"), ("seconds", "seconds", 8, ".3f")],
@@ -468,8 +532,9 @@ def main() -> int:
 
     sections = {
         "kernels": lambda: kernel_rows(args.repeat),
-        "partition_scaling": partition_scaling_rows,
+        "partition_scaling": lambda: partition_scaling_rows(args.repeat),
         "small_checks": lambda: small_check_rows(args.repeat),
+        "graph_build": lambda: graph_build_rows(args.repeat),
         "reduction_scaling": lambda: reduction_scaling_rows(args.repeat),
         "protocol": lambda: protocol_rows(args.repeat),
         "simulator": lambda: simulator_rows(args.repeat),

@@ -175,7 +175,8 @@ def _search(
     k, every side has s <= h(s), hence at least k* = min{k >= 1 : h(k) >= k}
     nodes, and sides of sizes a <= b lie among the h(b) survivors of need
     <= b, so h(b) >= a + b >= b + k* with b <= |S| - k*.  A fault set with
-    no such b is skipped at its root.  Below it, L and R are disjoint and
+    no such b is skipped at its root, before its per-survivor entries are
+    built.  Below it, L and R are disjoint and
     miss the placed C, so no violating partition lies below a node where
     need_L + need_R > |S| - |C placed|, with need_L the largest of k* and
     the needs of the placed L nodes, and need_R alike.  Each stack entry
@@ -201,25 +202,26 @@ def _search(
 
     examined = 0
     for f_mask in fault_masks:
-        # Per survivor: its bit, in- and out-masks, the bit of its previous
-        # surviving twin (0 if none) and its need.
-        nodes = [
-            (1 << v, in_masks[v], out_masks[v], pred[v] & ~f_mask, (in_masks[v] & ~f_mask).bit_count() - r + 2)
-            for v in range(n)
-            if not f_mask >> v & 1
-        ]
-        last = len(nodes)
+        survivors = [v for v in range(n) if not f_mask >> v & 1]
+        last = len(survivors)
         if last < 2:
             continue
+        needs = [(in_masks[v] & ~f_mask).bit_count() - r + 2 for v in survivors]
         # h[k]: the survivors whose need is at most k, for k >= 1 (a need
         # is at most last - r + 1, so h[last] == last).
         h = [0] * (last + 1)
-        for node in nodes:
-            h[max(node[4], 1)] += 1
+        for need in needs:
+            h[max(need, 1)] += 1
         h = list(itertools.accumulate(h))
         k_star = next(k for k in range(1, last + 1) if h[k] >= k)
         if not any(h[b] >= b + k_star for b in range(k_star, last - k_star + 1)):
             continue
+        # Per survivor of a searched root: its bit, in- and out-masks, the
+        # bit of its previous surviving twin (0 if none) and its need.
+        nodes = [
+            (1 << v, in_masks[v], out_masks[v], pred[v] & ~f_mask, need)
+            for v, need in zip(survivors, needs)
+        ]
         # Entries (next index, L, C, R, room, L's need, R's need); children
         # are pushed R, C, L so that L is expanded first, and only with
         # room >= 0.

@@ -219,7 +219,8 @@ def quick_degree_checks(g: Digraph, f: int) -> list[DegreeViolation]:
     found = [("node-count", None, model.node_count_error(g.n, f))]
     # Only a node below the floor can have a degree error.
     floor = model.degree_floor(f)
-    found += [("in-degree", v, model.degree_error(g, v, f)) for v, ins in enumerate(g.in_nbrs) if len(ins) < floor]
+    degrees = map(int.bit_count, g.in_masks())
+    found += [("in-degree", v, model.degree_error(d, v, f)) for v, d in enumerate(degrees) if d < floor]
     return [DegreeViolation(*row) for row in found if row[2] is not None]
 
 

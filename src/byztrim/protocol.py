@@ -74,10 +74,10 @@ class TimingModel:
             return f"n={n} <= {3 + 2 * self.lag_per_fault}f={self.node_floor(f)}"
         return None
 
-    def degree_error(self, g: Digraph, v: int, f: int) -> str | None:
-        """Why node v cannot run the update on g, or None.  A node with no
-        in-neighbour that awaits none (f = 0, or lockstep) keeps its value."""
-        degree = len(g.in_nbrs[v])
+    def degree_error(self, degree: int, v: int, f: int) -> str | None:
+        """Why node v, of in-degree `degree`, cannot run the update, or None.
+        A node with no in-neighbour that awaits none (f = 0, or lockstep)
+        keeps its value."""
         if (degree or self.lag(f)) and degree < self.degree_floor(f):
             return f"node {v} has in-degree {degree} < {2 + self.lag_per_fault}f+1={self.degree_floor(f)}"
         return None
@@ -148,7 +148,7 @@ class NodeState:
         # Why apply_update cannot run on this node, if it cannot: the degree
         # rule depends on the graph alone.  A node that never updates (a
         # faulty one only paces rounds) never raises it.
-        self.update_error = model.degree_error(g, node_id, f)
+        self.update_error = model.degree_error(len(self.in_nbrs), node_id, f)
         # tag -> {sender: value}, insertion-ordered per tag (= arrival order)
         self.buffer: dict[int, dict[int, float]] = {}
 
@@ -233,7 +233,9 @@ def compute_alpha(g: Digraph, f: int) -> Fraction:
     in-degree)."""
     int_value(f, "f", 0)
     model = MODELS[ASYNC]
-    error = model.degree_error(g, min(g.nodes, key=lambda v: len(g.in_nbrs[v])), f)
+    degrees = [len(ins) for ins in g.in_nbrs]
+    v = min(g.nodes, key=degrees.__getitem__)
+    error = model.degree_error(degrees[v], v, f)
     if error is not None:
         raise ProtocolError(error)
-    return Fraction(1, model.averaged(max(len(g.in_nbrs[v]) for v in g.nodes), f))
+    return Fraction(1, model.averaged(max(degrees), f))

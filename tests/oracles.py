@@ -11,6 +11,8 @@ pruned search without its twin cut, and milp_partition_verdict decides the
 condition with scipy's MILP solver.  naive_twin_predecessors finds twin
 classes by testing every pair.  naive_read_trace_csv reads a trace CSV
 by the README's file-format rules, with regular expressions for the cells.
+naive_digraph is the graph constructor that checks each edge against a set
+of the edges before it and builds every view eagerly.
 """
 
 from __future__ import annotations
@@ -24,11 +26,44 @@ from typing import NamedTuple
 
 import networkx as nx
 
+from byztrim._inputs import is_int
 from byztrim._kernels import BUDGET_EXCEEDED, FAIL, PASS, _bits
-from byztrim.digraph import Digraph
+from byztrim.digraph import Digraph, GraphError
 from byztrim.conditions import Partition
 from byztrim.protocol import ProtocolError, RoundMessage
 from byztrim.simnet import Delivery, SimConfig, SimulationError, Trace
+
+
+def naive_digraph(n, edges):
+    """(edge set, in-neighbour sets, out-neighbour sets) of the graph that
+    Digraph(n, edges) describes, or the GraphError message that rejects it.
+    Each entry is checked in turn, its duplicate test against a set of the
+    entries before it."""
+    try:
+        if not is_int(n) or n < 1:
+            raise GraphError(f"node count must be a positive integer, got {n!r}")
+        seen: set[tuple[int, int]] = set()
+        ins: list[set[int]] = [set() for _ in range(n)]
+        outs: list[set[int]] = [set() for _ in range(n)]
+        for e in edges:
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge must be a pair of node ids, got {e!r}") from None
+            if not (type(i) is int and type(j) is int or is_int(i) and is_int(j)):
+                raise GraphError(f"edge endpoints must be integers, got {e!r}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphError(f"edge {e!r} out of range for n={n}")
+            if i == j:
+                raise GraphError(f"self-loop ({i},{j}) not allowed")
+            if (i, j) in seen:
+                raise GraphError(f"duplicate edge ({i},{j})")
+            seen.add((i, j))
+            outs[i].add(j)
+            ins[j].add(i)
+    except GraphError as exc:
+        return str(exc)
+    return frozenset(seen), tuple(frozenset(s) for s in ins), tuple(frozenset(s) for s in outs)
 
 
 def naive_reaches(g: Digraph, a: set[int], b: set[int], r: int) -> bool:
